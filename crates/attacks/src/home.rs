@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{BoundingBox, GridIndex, LatLng, LocalFrame, Seconds};
 use mobipriv_model::{Dataset, Trace, UserId};
 use mobipriv_poi::{detect_stay_points, StayPoint, StayPointConfig};
@@ -18,7 +16,7 @@ use mobipriv_synth::{GroundTruth, SiteCategory};
 /// score each by the dwell accumulated during *rest hours* (evenings,
 /// nights and early mornings) plus the dwell of stays that open or
 /// close a session; the top-scoring location is the home guess.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomeAttack {
     staypoints: StayPointConfig,
     /// A guess counts as correct within this distance of the true home.
@@ -41,7 +39,7 @@ impl Default for HomeAttack {
 }
 
 /// Result of a [`HomeAttack`] run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HomeAttackOutcome {
     /// Home guess per published label (None: no candidate stay at all).
     pub guesses: BTreeMap<UserId, Option<LatLng>>,

@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LatLng, Seconds};
 use mobipriv_model::{Dataset, UserId};
 use mobipriv_poi::{match_pois, MatchReport, PoiExtractor};
@@ -15,7 +13,7 @@ use mobipriv_synth::GroundTruth;
 /// users' true POIs the adversary recovered. The paper claims its speed
 /// smoothing drives this to ≈ 0 while geo-indistinguishability leaves
 /// ≥ 60 % recoverable (experiment T1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoiAttack {
     extractor: PoiExtractor,
     /// A truth POI counts as found when an extracted POI lies within
@@ -36,7 +34,7 @@ impl Default for PoiAttack {
 }
 
 /// Per-user and aggregate results of a [`PoiAttack`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoiAttackOutcome {
     /// The match report of each user present in the ground truth.
     pub per_user: BTreeMap<UserId, MatchReport>,

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
-use mobipriv_geo::{chamfer_mean, GridIndex, Point, Rect};
+use mobipriv_geo::{GridIndex, Point, Rect};
 use mobipriv_model::{Dataset, UserId};
 use mobipriv_poi::PoiExtractor;
 
@@ -19,7 +17,7 @@ use mobipriv_poi::PoiExtractor;
 /// Profile distance: mean, over the label's POIs, of the distance to the
 /// nearest profile POI (a directed chamfer distance — robust to the
 /// protected side having fewer POIs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReidentAttack {
     extractor: PoiExtractor,
     /// Labels whose best profile distance exceeds this give no guess.
@@ -36,7 +34,7 @@ impl Default for ReidentAttack {
 }
 
 /// The linking produced by a [`ReidentAttack`] run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReidentOutcome {
     /// For every published label: the guessed true user, if any.
     pub links: BTreeMap<UserId, Option<UserId>>,
@@ -115,27 +113,6 @@ impl ReidentAttack {
     /// incumbent. All of it leaves the selected link bit-identical to
     /// [`run_naive`](ReidentAttack::run_naive).
     pub fn run(&self, training: &Dataset, protected: &Dataset) -> ReidentOutcome {
-        self.run_soa(training, protected)
-    }
-
-    /// The pre-columnar pointer-chasing implementation (one `Vec<Point>`
-    /// per profile behind a `BTreeMap`). Kept public for the SoA≡AoS
-    /// equivalence tests and the `mobipriv-bench-perf` `layout`
-    /// before/after comparison.
-    pub fn run_aos(&self, training: &Dataset, protected: &Dataset) -> ReidentOutcome {
-        self.run_inner(training, protected, true)
-    }
-
-    /// Brute-force reference implementation (full chamfer scan against
-    /// every profile POI). Kept public for the indexed≡naive
-    /// equivalence tests and the `mobipriv-bench-perf` before/after
-    /// comparison.
-    pub fn run_naive(&self, training: &Dataset, protected: &Dataset) -> ReidentOutcome {
-        self.run_inner(training, protected, false)
-    }
-
-    /// Column-oriented linking (see [`run`](ReidentAttack::run)).
-    fn run_soa(&self, training: &Dataset, protected: &Dataset) -> ReidentOutcome {
         let profiles = self.extractor.extract_dataset(training);
         let observed = self.extractor.extract_dataset(protected);
         let frame = match training.local_frame() {
@@ -143,10 +120,10 @@ impl ReidentAttack {
             Err(_) => return ReidentOutcome::default(),
         };
         // Flatten the profiles into parallel coordinate columns with
-        // CSR offsets, in ascending user order — the order the AoS
-        // `BTreeMap` iteration visited, so first-wins tie-breaking is
-        // unchanged. Empty profiles are dropped here (the AoS scan
-        // skipped them per label).
+        // CSR offsets, in ascending user order — the order the naive
+        // `BTreeMap` iteration visits, so first-wins tie-breaking is
+        // unchanged. Empty profiles are dropped here (the naive scan
+        // skips them per label).
         let mut users: Vec<UserId> = Vec::with_capacity(profiles.len());
         let mut offsets: Vec<usize> = Vec::with_capacity(profiles.len() + 1);
         let mut xs: Vec<f64> = Vec::new();
@@ -164,13 +141,13 @@ impl ReidentAttack {
             users.push(*user);
             offsets.push(xs.len());
         }
-        // Same grid threshold as the AoS path; the grid is built from
-        // the column slices (insertion order = column order).
+        // Only profiles large enough for a grid query to beat the
+        // linear scan get a grid, built from the column slices
+        // (insertion order = column order).
         let grids: Vec<Option<GridIndex<usize>>> = (0..users.len())
             .map(|i| {
                 let span = offsets[i]..offsets[i + 1];
-                (span.len() >= GRID_PROFILE_MIN)
-                    .then(|| profile_grid_xy(&xs[span.clone()], &ys[span]))
+                (span.len() >= GRID_PROFILE_MIN).then(|| profile_grid(&xs[span.clone()], &ys[span]))
             })
             .collect();
         // Per-profile summaries driving the pruned scan: the bounding
@@ -221,7 +198,7 @@ impl ReidentAttack {
     ///   query — both return the exact [`Point::distance`] a scan would
     ///   see) and point-order summation are computed in the same fold
     ///   order, so any profile that finishes its sweep produces the
-    ///   very mean the AoS scan produced.
+    ///   very mean the naive scan produces.
     /// * Profiles are scored centroid-nearest first instead of in
     ///   ascending user order, and the winner is selected as the
     ///   lexicographic minimum of `(mean, user)` — exactly the profile
@@ -286,9 +263,8 @@ impl ReidentAttack {
             let mut total = 0.0;
             for (k, p) in points.iter().enumerate() {
                 let min = match &cols.grids[i] {
-                    // Same fold [`chamfer_mean`] computes: the grid
-                    // returns the nearest stored point, distance taken
-                    // identically.
+                    // The grid returns the nearest stored point, distance
+                    // taken identically to the linear scan.
                     Some(grid) => {
                         let (q, _) = grid.nearest_neighbour(*p).expect("non-empty profile");
                         p.distance(q).get()
@@ -321,9 +297,15 @@ impl ReidentAttack {
         best.and_then(|(d, u)| (d <= self.max_link_distance_m).then_some(u))
     }
 
-    fn run_inner(&self, training: &Dataset, protected: &Dataset, indexed: bool) -> ReidentOutcome {
-        let profiles = self.extractor.extract_dataset_aos(training);
-        let observed = self.extractor.extract_dataset_aos(protected);
+    /// Brute-force reference implementation: POIs come from
+    /// [`PoiExtractor::extract_dataset_naive`], profiles are one
+    /// `Vec<Point>` per user behind a `BTreeMap`, and every label is
+    /// scanned against every profile POI. Kept public for the
+    /// indexed≡naive equivalence tests and the `mobipriv-bench-perf`
+    /// before/after comparison.
+    pub fn run_naive(&self, training: &Dataset, protected: &Dataset) -> ReidentOutcome {
+        let profiles = self.extractor.extract_dataset_naive(training);
+        let observed = self.extractor.extract_dataset_naive(protected);
         let frame = match training.local_frame() {
             Ok(f) => f,
             Err(_) => return ReidentOutcome::default(),
@@ -332,17 +314,6 @@ impl ReidentAttack {
             .iter()
             .map(|(u, pois)| (*u, pois.iter().map(|p| frame.project(p.centroid)).collect()))
             .collect();
-        // Index only the profiles large enough for a grid query to beat
-        // a linear scan; tiny profiles (the common case — a handful of
-        // POIs) fall through to the scan, which computes the very same
-        // minimum.
-        let profile_index: Option<BTreeMap<UserId, GridIndex<()>>> = indexed.then(|| {
-            profile_points
-                .iter()
-                .filter(|(_, points)| points.len() >= GRID_PROFILE_MIN)
-                .map(|(u, points)| (*u, profile_grid(points)))
-                .collect()
-        });
         let mut links = BTreeMap::new();
         for label in protected.users() {
             // Observed POIs are projected once here and passed through
@@ -351,10 +322,7 @@ impl ReidentAttack {
                 .get(&label)
                 .map(|ps| ps.iter().map(|p| frame.project(p.centroid)).collect())
                 .unwrap_or_default();
-            links.insert(
-                label,
-                self.best_match(&points, &profile_points, profile_index.as_ref()),
-            );
+            links.insert(label, self.best_match(&points, &profile_points));
         }
         ReidentOutcome { links }
     }
@@ -363,7 +331,6 @@ impl ReidentAttack {
         &self,
         points: &[Point],
         profiles: &BTreeMap<UserId, Vec<Point>>,
-        index: Option<&BTreeMap<UserId, GridIndex<()>>>,
     ) -> Option<UserId> {
         if points.is_empty() {
             return None;
@@ -374,22 +341,16 @@ impl ReidentAttack {
                 continue;
             }
             // Directed chamfer distance: observed POIs -> profile.
-            let grid = index.and_then(|grids| grids.get(user));
-            let mean = match grid {
-                Some(grid) => chamfer_mean(points, grid).expect("both sides non-empty"),
-                None => {
-                    let total: f64 = points
+            let total: f64 = points
+                .iter()
+                .map(|p| {
+                    profile
                         .iter()
-                        .map(|p| {
-                            profile
-                                .iter()
-                                .map(|q| p.distance(*q).get())
-                                .fold(f64::INFINITY, f64::min)
-                        })
-                        .sum();
-                    total / points.len() as f64
-                }
-            };
+                        .map(|q| p.distance(*q).get())
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .sum();
+            let mean = total / points.len() as f64;
             if best.is_none_or(|(d, _)| mean < d) {
                 best = Some((mean, *user));
             }
@@ -427,24 +388,12 @@ fn point_rect_gap(p: Point, r: &Rect) -> f64 {
 /// query's ring bookkeeping only pays off past it.
 const GRID_PROFILE_MIN: usize = 16;
 
-/// Builds the nearest-neighbour grid over one user's profile POIs, with
-/// the cell size scaled to the profile's spatial extent (profiles are
-/// small — a handful of POIs across a city).
-fn profile_grid(points: &[Point]) -> GridIndex<()> {
-    let extent = mobipriv_geo::Rect::of(points.iter().copied()).expect("non-empty profile");
-    let diag = extent.width().hypot(extent.height());
-    let cell = (diag / 4.0).clamp(100.0, 10_000.0);
-    let mut grid = GridIndex::new(cell).expect("positive cell size");
-    for p in points {
-        grid.insert(*p, ());
-    }
-    grid
-}
-
-/// [`profile_grid`] over one profile's column slices — same cell-size
-/// formula, grid populated in column order via [`GridIndex::from_xy`]
-/// so tie-breaking matches the point-loop insertion exactly.
-fn profile_grid_xy(xs: &[f64], ys: &[f64]) -> GridIndex<usize> {
+/// Builds the nearest-neighbour grid over one user's profile POIs from
+/// its column slices, with the cell size scaled to the profile's
+/// spatial extent (profiles are small — a handful of POIs across a
+/// city). Populated in column order via [`GridIndex::from_xy`], so ties
+/// break like the linear scan.
+fn profile_grid(xs: &[f64], ys: &[f64]) -> GridIndex<usize> {
     let extent = mobipriv_geo::Rect::of(xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y)))
         .expect("non-empty profile");
     let diag = extent.width().hypot(extent.height());
@@ -496,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn soa_aos_and_naive_agree_link_for_link() {
+    fn pruned_and_naive_agree_link_for_link() {
         let (train, test) = split();
         let mut rng = StdRng::seed_from_u64(1);
         let noisy = GeoInd::new(0.01).unwrap().protect(&test, &mut rng);
@@ -505,9 +454,10 @@ mod tests {
                 ReidentAttack::default(),
                 ReidentAttack::tuned_for_noise(200.0),
             ] {
-                let soa = attack.run(&train, protected);
-                assert_eq!(soa, attack.run_aos(&train, protected));
-                assert_eq!(soa, attack.run_naive(&train, protected));
+                assert_eq!(
+                    attack.run(&train, protected),
+                    attack.run_naive(&train, protected)
+                );
             }
         }
     }
@@ -536,7 +486,6 @@ mod tests {
         let attack = ReidentAttack::default();
         let outcome = attack.run(&train, &protected);
         assert_eq!(outcome.links[&UserId::new(9)], Some(UserId::new(2)));
-        assert_eq!(outcome, attack.run_aos(&train, &protected));
         assert_eq!(outcome, attack.run_naive(&train, &protected));
     }
 

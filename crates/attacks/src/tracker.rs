@@ -1,8 +1,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{GridIndex, Point, Rect};
 use mobipriv_model::{Dataset, Timestamp};
 
@@ -20,7 +18,7 @@ use mobipriv_model::{Dataset, Timestamp};
 /// nearest-neighbour assignment is ambiguous and the tracker may swap
 /// targets — this is precisely the confusion mix-zones formalize, and
 /// experiment T8 measures it as a function of crossing density.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tracker {
     /// Gating speed: a sample can extend a track only if reaching it
     /// needs at most this speed (m/s).
@@ -39,7 +37,7 @@ impl Default for Tracker {
 }
 
 /// The tracking quality achieved by the adversary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerOutcome {
     /// Fraction of consecutive same-user sample pairs that the tracker
     /// kept in the same inferred track (1.0 = perfect tracking, lower =
@@ -77,26 +75,19 @@ impl Tracker {
     /// [`run_naive`](Tracker::run_naive) — ties in distance resolve to
     /// the lowest track index, exactly like the sequential scan.
     pub fn run(&self, dataset: &Dataset) -> TrackerOutcome {
-        self.run_inner(dataset, true, true)
+        self.run_inner(dataset, true)
     }
 
-    /// The indexed association fed by per-fix projection of the
-    /// row-oriented traces instead of the column cache. Kept public for
-    /// the SoA≡AoS equivalence tests and the `mobipriv-bench-perf`
-    /// `layout` before/after comparison.
-    pub fn run_aos(&self, dataset: &Dataset) -> TrackerOutcome {
-        self.run_inner(dataset, true, false)
-    }
-
-    /// Brute-force reference implementation: every sample is tested
+    /// Brute-force reference implementation: samples are projected fix
+    /// by fix from the row-oriented traces, and every sample is tested
     /// against every open track. Kept public for the indexed≡naive
     /// equivalence tests and the `mobipriv-bench-perf` before/after
     /// comparison.
     pub fn run_naive(&self, dataset: &Dataset) -> TrackerOutcome {
-        self.run_inner(dataset, false, false)
+        self.run_inner(dataset, false)
     }
 
-    fn run_inner(&self, dataset: &Dataset, indexed: bool, columnar: bool) -> TrackerOutcome {
+    fn run_inner(&self, dataset: &Dataset, indexed: bool) -> TrackerOutcome {
         if dataset.local_frame().is_err() {
             return TrackerOutcome {
                 continuity: 0.0,
@@ -107,7 +98,7 @@ impl Tracker {
         }
         // Anonymous samples: (time, position, true trace index).
         let mut samples: Vec<(Timestamp, Point, usize)> = Vec::with_capacity(dataset.total_fixes());
-        if columnar {
+        if indexed {
             // The column cache already holds every fix projected into
             // the canonical frame; sample assembly is a pure copy.
             let cols = dataset.columns();
@@ -367,16 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn columnar_assembly_matches_aos_and_naive() {
+    fn indexed_run_matches_naive() {
         let d = Dataset::from_traces(vec![
             lane_trace(1, 0.0, 5.0),
             lane_trace(2, 40.0, 5.0),
             lane_trace(3, 5_000.0, 8.0),
         ]);
         let tracker = Tracker::default();
-        let soa = tracker.run(&d);
-        assert_eq!(soa, tracker.run_aos(&d));
-        assert_eq!(soa, tracker.run_naive(&d));
+        assert_eq!(tracker.run(&d), tracker.run_naive(&d));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mobipriv_attacks::{HomeAttack, PoiAttack, ReidentAttack, Tracker};
-use mobipriv_core::{Engine, GeoInd, GridGeneralization, KDelta, Mechanism, Promesse};
+use mobipriv_core::{Engine, GeoInd, KDelta, Mechanism, Promesse};
 use mobipriv_model::{
     read_bin, read_csv, read_ndjson, write_bin, write_csv, write_ndjson, Dataset, WireFormat,
 };
@@ -32,7 +32,7 @@ use mobipriv_synth::scenarios;
 
 const USAGE: &str = "\
 usage: mobipriv-bench-perf [--users N] [--seed N] [--iters N] [--out FILE]
-                           [--no-obs] [--profile]
+                           [--profile]
 
 Times each mechanism and attack on the serving_day(N) workload and, for
 the spatially-indexed hot paths, the brute-force reference against the
@@ -44,8 +44,6 @@ options:
   --iters N   timed repetitions per measurement; the minimum wall time
               is reported (default 3)
   --out FILE  write the JSON to FILE instead of stdout
-  --no-obs    disable the observability hooks for the whole run (the
-              obs_overhead section still measures both states)
   --profile   after the run, print the per-mechanism engine timing
               table accumulated by the observability hooks to stderr
   -h, --help  print this help
@@ -56,7 +54,6 @@ struct Args {
     seed: u64,
     iters: usize,
     out: Option<String>,
-    no_obs: bool,
     profile: bool,
 }
 
@@ -67,7 +64,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         seed: 42,
         iters: 3,
         out: None,
-        no_obs: false,
         profile: false,
     };
     let mut iter = raw.iter();
@@ -102,7 +98,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .ok_or_else(|| format!("--iters expects a positive integer, got `{v}`"))?;
             }
             "--out" => args.out = Some(value_of("--out")?),
-            "--no-obs" => args.no_obs = true,
             "--profile" => args.profile = true,
             other => return Err(format!("unexpected argument: {other}")),
         }
@@ -582,9 +577,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.no_obs {
-        mobipriv_obs::set_enabled(false);
-    }
     eprintln!(
         "generating serving_day({}) with seed {}…",
         args.users, args.seed
@@ -694,31 +686,6 @@ fn main() -> ExitCode {
         ));
     }
 
-    // Data layout: the row-oriented (AoS) implementations against the
-    // column-oriented (SoA) hot paths, same outputs asserted. The
-    // column cache builds on the first timed iteration and is reused
-    // after — exactly the once-per-dataset amortization the cache is
-    // for (`time_min` reports the warm minimum).
-    eprintln!("timing data layout (AoS vs SoA)…");
-    let mut layout = Vec::new();
-    let grid_mech = GridGeneralization::new(250.0).expect("valid cell");
-    let (aos_s, aos_out) = time_min(args.iters, || grid_mech.protect_aos(dataset));
-    let (soa_s, soa_out) = time_min(args.iters, || {
-        grid_mech.protect(dataset, &mut StdRng::seed_from_u64(args.seed))
-    });
-    assert_eq!(aos_out, soa_out, "grid_snap AoS≡SoA violated");
-    layout.push(("grid_snap_c250".to_owned(), aos_s, soa_s));
-
-    let (aos_s, aos_out) = time_min(args.iters, || reident.run_aos(dataset, &published));
-    let (soa_s, soa_out) = time_min(args.iters, || reident.run(dataset, &published));
-    assert_eq!(aos_out, soa_out, "reident AoS≡SoA violated");
-    layout.push(("reident".to_owned(), aos_s, soa_s));
-
-    let (aos_s, aos_out) = time_min(args.iters, || tracker.run_aos(&published));
-    let (soa_s, soa_out) = time_min(args.iters, || tracker.run(&published));
-    assert_eq!(aos_out, soa_out, "tracker AoS≡SoA violated");
-    layout.push(("tracker".to_owned(), aos_s, soa_s));
-
     // The serving-system cache: cold (one-shot full-body request — what
     // every request cost before the dataset registry) vs warm (job
     // cycle answered by the content-addressed result cache), over a
@@ -743,7 +710,7 @@ fn main() -> ExitCode {
     mobipriv_obs::set_enabled(false);
     let (obs_off_s, off_out) =
         time_min(obs_iters, || engine.protect(&promesse, dataset, args.seed));
-    mobipriv_obs::set_enabled(!args.no_obs);
+    mobipriv_obs::set_enabled(true);
     assert_eq!(on_out, off_out, "observability changed engine output");
     let obs_ratio = obs_on_s / obs_off_s.max(1e-12);
 
@@ -813,17 +780,6 @@ fn main() -> ExitCode {
             if i == 0 { "\n" } else { ",\n" },
         );
     }
-    let _ = write!(json, "\n],\"layout\":[");
-    for (i, (name, aos_s, soa_s)) in layout.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}{{\"name\":\"{name}\",\"aos_s\":{aos_s},\"soa_s\":{soa_s},\"speedup\":{},\
-             \"soa_mfix_s\":{}}}",
-            if i == 0 { "\n" } else { ",\n" },
-            aos_s / soa_s.max(1e-12),
-            mfix / soa_s.max(1e-12),
-        );
-    }
     let _ = write!(
         json,
         "\n],\"jobs_cache\":{{\"mechanism\":\"promesse alpha=100\",\"register_s\":{},\
@@ -890,14 +846,6 @@ fn main() -> ExitCode {
     for (name, read_mfix, write_mfix, bytes_per_fix) in &parse_rows {
         eprintln!(
             "  parse {name:>7}: read {read_mfix:>7.1} Mfix/s, write {write_mfix:>7.1} Mfix/s, {bytes_per_fix:.1} B/fix"
-        );
-    }
-    for (name, aos_s, soa_s) in &layout {
-        eprintln!(
-            " layout {name:>14}: aos {:>9.2} ms, soa     {:>9.2} ms -> {:.2}x",
-            aos_s * 1e3,
-            soa_s * 1e3,
-            aos_s / soa_s.max(1e-12),
         );
     }
     eprintln!(

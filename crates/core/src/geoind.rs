@@ -1,5 +1,4 @@
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{LocalFrame, Point};
 use mobipriv_model::{Dataset, Trace};
@@ -9,7 +8,7 @@ use crate::error::require_positive;
 use crate::{CoreError, Mechanism, TraceKernel};
 
 /// How the privacy budget is spent across the points of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseBudget {
     /// Every point is perturbed with the full `ε` (the usual evaluation
     /// setting; composition across points is left to the analyst).

@@ -1,7 +1,6 @@
 use std::collections::HashMap;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{LatLng, Point, Seconds};
 use mobipriv_model::{Dataset, Fix, Timestamp, TraceBuilder};
@@ -26,7 +25,7 @@ use crate::{CoreError, Mechanism};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridGeneralization {
     cell_m: f64,
     time_round: Option<Seconds>,
@@ -76,11 +75,11 @@ impl GridGeneralization {
         Point::new(((p.x / s).floor() + 0.5) * s, ((p.y / s).floor() + 0.5) * s)
     }
 
-    /// The pre-columnar implementation: every fix is projected through
-    /// the frame individually and every snapped center unprojected anew.
-    /// Kept public for the SoA≡AoS equivalence tests and the
-    /// `mobipriv-bench-perf` `layout` before/after comparison.
-    pub fn protect_aos(&self, dataset: &Dataset) -> Dataset {
+    /// Reference implementation: every fix is projected through the
+    /// frame individually and every snapped center unprojected anew.
+    /// Kept public for the equivalence tests against the memoized
+    /// columnar [`protect`](Mechanism::protect).
+    pub fn protect_naive(&self, dataset: &Dataset) -> Dataset {
         let frame = match dataset.local_frame() {
             Ok(f) => f,
             Err(_) => return Dataset::new(),
@@ -119,7 +118,7 @@ impl Mechanism for GridGeneralization {
     /// this mechanism collapses revisit the same cells across fixes and
     /// traces, so the spherical trig runs once per distinct *cell*
     /// instead of once per fix. Bit-identical to
-    /// [`protect_aos`](GridGeneralization::protect_aos) (`unproject` is
+    /// [`protect_naive`](GridGeneralization::protect_naive) (`unproject` is
     /// deterministic and the memo key is exact `Point` equality).
     fn protect(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> Dataset {
         let cols = dataset.columns();
@@ -243,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_protect_matches_aos_bit_for_bit() {
+    fn columnar_protect_matches_naive_bit_for_bit() {
         let d = dataset();
         for mech in [
             GridGeneralization::new(250.0).unwrap(),
@@ -253,7 +252,7 @@ mod tests {
                 .unwrap(),
         ] {
             let mut rng = StdRng::seed_from_u64(0);
-            assert_eq!(mech.protect(&d, &mut rng), mech.protect_aos(&d));
+            assert_eq!(mech.protect(&d, &mut rng), mech.protect_naive(&d));
         }
     }
 

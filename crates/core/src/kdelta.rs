@@ -1,5 +1,4 @@
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{FootprintIndex, Point, Rect, Seconds};
 use mobipriv_model::{Dataset, Fix, Timestamp, TraceBuilder};
@@ -38,7 +37,7 @@ use crate::{CoreError, Mechanism};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KDelta {
     k: usize,
     delta_m: f64,
@@ -48,7 +47,7 @@ pub struct KDelta {
 }
 
 /// Outcome statistics of a [`KDelta`] run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KDeltaReport {
     /// Number of clusters formed.
     pub clusters: usize,

@@ -2,7 +2,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{GridIndex, LatLng, LocalFrame, Point, Seconds};
 #[cfg(test)]
@@ -13,7 +12,7 @@ use crate::error::require_positive;
 use crate::{CoreError, Mechanism};
 
 /// Parameters of mix-zone detection and swapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixZoneConfig {
     /// Radius of a mix-zone disc, meters.
     pub radius_m: f64,
@@ -74,7 +73,7 @@ impl MixZoneConfig {
 
 /// A detected mix-zone: a disc and a time interval during which at least
 /// [`MixZoneConfig::min_members`] users passed through it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixZone {
     /// Center of the zone.
     pub center: LatLng,
@@ -108,7 +107,7 @@ impl MixZone {
 
 /// Outcome report of a [`MixZones`] run — the quantities experiment T4
 /// tabulates.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SwapReport {
     /// The zones that were detected and used.
     pub zones: Vec<MixZone>,

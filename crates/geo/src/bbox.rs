@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{GeoError, LatLng, Meters, Point};
 
 /// An axis-aligned geographic bounding box (degrees).
@@ -14,7 +12,7 @@ use crate::{GeoError, LatLng, Meters, Point};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     min_lat: f64,
     max_lat: f64,
@@ -109,7 +107,7 @@ impl Default for BoundingBox {
 }
 
 /// An axis-aligned planar rectangle in a local frame (meters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min: Point,
     max: Point,

@@ -1,14 +1,12 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GeoError, Point};
 
 /// The integer coordinates of a grid cell.
 ///
 /// Cells are `cell_size × cell_size` meter squares; a point `(x, y)` lives
 /// in cell `(⌊x/s⌋, ⌊y/s⌋)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
     /// Column index (east).
     pub cx: i64,
@@ -346,28 +344,6 @@ impl<T> GridIndex<T> {
     }
 }
 
-/// Mean, over `points`, of the distance to the nearest item of `index`
-/// (the directed chamfer distance). Returns `None` when either side is
-/// empty.
-///
-/// Each per-point minimum is the exact [`Point::distance`] value a
-/// linear `fold(INFINITY, f64::min)` over the indexed points computes,
-/// and the sum runs in `points` order, so the result is bit-identical
-/// to the brute-force mean.
-pub fn chamfer_mean<T>(points: &[Point], index: &GridIndex<T>) -> Option<f64> {
-    if points.is_empty() || index.is_empty() {
-        return None;
-    }
-    let total: f64 = points
-        .iter()
-        .map(|p| {
-            let (q, _) = index.nearest_neighbour(*p).expect("non-empty index");
-            p.distance(q).get()
-        })
-        .sum();
-    Some(total / points.len() as f64)
-}
-
 /// Chebyshev distance (in cells) from `c` to the box `[lo, hi]`; zero
 /// when `c` is inside.
 fn chebyshev_to_box(c: CellId, lo: CellId, hi: CellId) -> i64 {
@@ -588,34 +564,6 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let (_, item) = idx.nearest_neighbour(Point::new(1.0, 0.0)).unwrap();
         assert_eq!(*item, 2);
-    }
-
-    #[test]
-    fn chamfer_mean_matches_brute_force() {
-        let targets = [
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 35.0),
-            Point::new(-70.0, 220.0),
-        ];
-        let mut idx = GridIndex::new(40.0).unwrap();
-        for t in targets {
-            idx.insert(t, ());
-        }
-        let queries = [Point::new(3.0, 4.0), Point::new(90.0, 50.0)];
-        let brute: f64 = queries
-            .iter()
-            .map(|p| {
-                targets
-                    .iter()
-                    .map(|t| p.distance(*t).get())
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .sum::<f64>()
-            / queries.len() as f64;
-        assert_eq!(chamfer_mean(&queries, &idx), Some(brute));
-        assert_eq!(chamfer_mean(&[], &idx), None);
-        let empty = GridIndex::<()>::new(40.0).unwrap();
-        assert_eq!(chamfer_mean(&queries, &empty), None);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GeoError, Meters};
 
 /// Mean Earth radius in meters (IUGG).
@@ -20,7 +18,7 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatLng {
     lat: f64,
     lng: f64,

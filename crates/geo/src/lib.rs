@@ -12,10 +12,9 @@
 //!   between the two;
 //! * [`Polyline`] — cumulative-length queries, interpolation at a given
 //!   travelled distance, nearest-point queries and uniform re-sampling;
-//! * [`GridIndex`] — a uniform spatial hash answering neighbourhood,
-//!   nearest-neighbour and [`chamfer_mean`] queries in (amortized)
-//!   constant time, with deterministic brute-force-equivalent
-//!   tie-breaking;
+//! * [`GridIndex`] — a uniform spatial hash answering neighbourhood and
+//!   nearest-neighbour queries in (amortized) constant time, with
+//!   deterministic brute-force-equivalent tie-breaking;
 //! * [`FootprintIndex`] — the rectangle counterpart, bucketing trace or
 //!   polyline bounding boxes for footprint-join prefilters;
 //! * strongly-typed units ([`Meters`], [`Seconds`], [`MetersPerSecond`]).
@@ -54,7 +53,7 @@ mod units;
 pub use bbox::{BoundingBox, Rect};
 pub use error::GeoError;
 pub use footprint::FootprintIndex;
-pub use grid::{chamfer_mean, CellId, GridIndex};
+pub use grid::{CellId, GridIndex};
 pub use latlng::{LatLng, EARTH_RADIUS_M};
 pub use point::Point;
 pub use polyline::{PathSample, Polyline};

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Meters;
 
 /// A planar point (or vector) in a local metric frame.
@@ -17,7 +15,7 @@ use crate::Meters;
 /// assert_eq!(a.norm(), 5.0);
 /// assert_eq!((a * 2.0).x, 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East offset in meters.
     pub x: f64,

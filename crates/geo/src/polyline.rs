@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{GeoError, Meters, Point};
 
 /// A point sampled on a polyline, as returned by
 /// [`Polyline::point_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSample {
     /// The sampled location.
     pub point: Point,
@@ -37,7 +35,7 @@ pub struct PathSample {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     vertices: Vec<Point>,
     /// `cumulative[i]` = path length from vertex 0 to vertex i.

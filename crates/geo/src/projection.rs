@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LatLng, Point, EARTH_RADIUS_M};
 
 /// An equirectangular local tangent-plane projection.
@@ -24,7 +22,7 @@ use crate::{LatLng, Point, EARTH_RADIUS_M};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalFrame {
     origin: LatLng,
     cos_lat: f64,

@@ -2,13 +2,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! unit_newtype {
     ($(#[$doc:meta])* $name:ident, $suffix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -261,20 +258,5 @@ mod tests {
         assert_eq!(Meters::new(1.5).to_string(), "1.500m");
         assert_eq!(Seconds::new(2.0).to_string(), "2.000s");
         assert_eq!(MetersPerSecond::new(3.0).to_string(), "3.000m/s");
-    }
-
-    #[test]
-    fn serde_roundtrip_is_transparent() {
-        let m = Meters::new(42.5);
-        let json = serde_json_like(m.get());
-        // Transparent representation: a bare number.
-        assert_eq!(json, "42.5");
-    }
-
-    fn serde_json_like(v: f64) -> String {
-        // We avoid a serde_json dependency; transparency is guaranteed by
-        // the #[serde(transparent)] attribute, checked here via Display of
-        // the raw value.
-        format!("{v}")
     }
 }

@@ -7,14 +7,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{CellId, GridIndex, LocalFrame};
 use mobipriv_model::Dataset;
 
 /// How well the published data covers the cells the raw data covered,
 /// and how similar the two density heat-maps are.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CoverageReport {
     /// Cells visited by the raw data.
     pub raw_cells: usize,

@@ -4,13 +4,12 @@
 //! relative error between raw and published answers.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{LocalFrame, Point, Seconds};
 use mobipriv_model::{Dataset, Timestamp};
 
 /// A disc-shaped spatio-temporal counting query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeQuery {
     /// Center of the disc (frame coordinates, meters).
     pub center: Point,
@@ -39,7 +38,7 @@ impl RangeQuery {
 }
 
 /// Outcome of a range-query error evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryErrorReport {
     /// Number of queries evaluated.
     pub queries: usize,

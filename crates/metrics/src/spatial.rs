@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LocalFrame, Point, Polyline};
 use mobipriv_model::{Dataset, Trace, UserId};
 
 /// Summary statistics of a distortion sample (meters).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DistortionSummary {
     /// Number of published points measured.
     pub count: usize,

@@ -2,12 +2,10 @@
 //! "look like" the raw one to an analyst studying trip lengths,
 //! durations or speeds?
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_model::Dataset;
 
 /// Summary of one scalar distribution over traces.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DistributionSummary {
     /// Number of traces sampled.
     pub count: usize,
@@ -32,7 +30,7 @@ impl DistributionSummary {
 }
 
 /// Comparison of raw vs published trip statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TripReport {
     /// Trip path length (meters), raw.
     pub raw_length: DistributionSummary,

@@ -216,9 +216,6 @@ impl std::fmt::Debug for Dataset {
     }
 }
 
-impl serde::Serialize for Dataset {}
-impl<'de> serde::Deserialize<'de> for Dataset {}
-
 impl FromIterator<Trace> for Dataset {
     fn from_iter<I: IntoIterator<Item = Trace>>(iter: I) -> Self {
         Dataset::from_traces(iter.into_iter().collect())

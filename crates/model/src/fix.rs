@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LatLng, Meters, MetersPerSecond, Seconds};
 
 use crate::Timestamp;
@@ -17,7 +15,7 @@ use crate::Timestamp;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fix {
     /// Recorded position.
     pub position: LatLng,

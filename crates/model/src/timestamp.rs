@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::Seconds;
 
 /// An instant in time, stored as whole seconds since the Unix epoch.
@@ -21,10 +19,7 @@ use mobipriv_geo::Seconds;
 /// assert_eq!(t1.get(), 1_090);
 /// assert_eq!((t1 - t0).get(), 90.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Timestamp(i64);
 
 impl Timestamp {

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{GeoError, LatLng, LocalFrame, Meters, MetersPerSecond, Polyline, Seconds};
 
 use crate::{Fix, ModelError, Timestamp, UserId};
@@ -29,7 +27,7 @@ use crate::{Fix, ModelError, Timestamp, UserId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     user: UserId,
     fixes: Vec<Fix>,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An opaque user (or pseudonym) identifier.
 ///
 /// Identifier swapping in mix-zones permutes `UserId`s between traces, so
@@ -13,10 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(u.get(), 42);
 /// assert_eq!(u.to_string(), "u42");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct UserId(u64);
 
 impl UserId {

@@ -39,10 +39,10 @@ pub mod scrape;
 pub mod trace;
 
 /// Process-wide switch for the *global* instrumentation hooks (engine
-/// and eval profiling). `true` by default; `mobipriv-bench-perf
-/// --no-obs` flips it off to measure the instrumentation overhead
-/// itself. Per-server request metrics are owned by the server and are
-/// not affected.
+/// and eval profiling). `true` by default; the `obs_overhead` section
+/// of `mobipriv-bench-perf` flips it off and back on to measure the
+/// instrumentation overhead itself. Per-server request metrics are
+/// owned by the server and are not affected.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the global instrumentation hooks.

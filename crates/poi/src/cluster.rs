@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{GridIndex, LocalFrame, Point};
 
 use crate::extractor::Poi;
 use crate::StayPoint;
 
 /// Parameters of the density-joinable clustering of stay points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Merge radius between stay-point centroids (meters).
     pub eps_m: f64,

@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LatLng, Seconds};
 use mobipriv_model::{Dataset, Trace, UserId};
 
@@ -11,7 +9,7 @@ use crate::{
 };
 
 /// An extracted point of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poi {
     /// Dwell-weighted centroid of the merged stays.
     pub centroid: LatLng,
@@ -35,7 +33,7 @@ pub struct Poi {
 /// assert_eq!(extractor.cluster_config().min_pts, 1);
 /// # let _ = extractor;
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PoiExtractor {
     staypoints: StayPointConfig,
     clusters: ClusterConfig,
@@ -75,7 +73,7 @@ impl PoiExtractor {
     /// dataset) through the pruned scan — pooling order per user is
     /// dataset order, exactly the order the per-user grouping visited,
     /// so the extracted POIs are bit-identical to
-    /// [`extract_dataset_aos`](PoiExtractor::extract_dataset_aos).
+    /// [`extract_dataset_naive`](PoiExtractor::extract_dataset_naive).
     ///
     /// [`trace_planar`]: mobipriv_model::DatasetColumns::trace_planar
     pub fn extract_dataset(&self, dataset: &Dataset) -> BTreeMap<UserId, Vec<Poi>> {
@@ -94,12 +92,12 @@ impl PoiExtractor {
             .collect()
     }
 
-    /// The pre-columnar implementation of
+    /// Reference implementation of
     /// [`extract_dataset`](PoiExtractor::extract_dataset): every trace
     /// re-projected per call, radius comparisons unpruned. Kept public
-    /// for the SoA≡AoS equivalence tests and the `mobipriv-bench-perf`
-    /// `layout` before/after comparison.
-    pub fn extract_dataset_aos(&self, dataset: &Dataset) -> BTreeMap<UserId, Vec<Poi>> {
+    /// for the equivalence tests and as the extraction step of
+    /// `ReidentAttack::run_naive`.
+    pub fn extract_dataset_naive(&self, dataset: &Dataset) -> BTreeMap<UserId, Vec<Poi>> {
         let mut out = BTreeMap::new();
         for (user, traces) in dataset.by_user() {
             let mut stays = Vec::new();

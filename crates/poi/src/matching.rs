@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::LatLng;
 
 /// The outcome of matching extracted POIs against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchReport {
     /// Number of ground-truth POIs.
     pub truth_count: usize,

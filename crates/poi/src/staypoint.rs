@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LatLng, LocalFrame, Meters, Point, Seconds};
 use mobipriv_model::{Timestamp, Trace};
 
 /// Parameters of stay-point detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StayPointConfig {
     /// Roaming radius: how far the user may wander while still counting
     /// as "staying" (meters). 100 m is the customary setting on GPS data.
@@ -24,7 +22,7 @@ impl Default for StayPointConfig {
 
 /// A detected stay: the user remained within the roaming radius from
 /// `arrival` to `departure`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StayPoint {
     /// Mean position of the fixes comprising the stay.
     pub centroid: LatLng,

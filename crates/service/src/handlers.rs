@@ -162,25 +162,31 @@ pub fn handle_connection(
     let mut writer = stream;
     let mut served: usize = 0;
     loop {
+        if served == 0 {
+            // The acceptor queued this connection because a request is
+            // (presumably) already on its way: read it directly under
+            // the ordinary request budget, as a fresh connection always
+            // did.
+            reader.set_deadline(config.timeout);
+        } else if reader.wait_for_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
+            != NextRequest::Arrived
+        {
+            // Closed, idle or draining: no response owed, nothing to
+            // record.
+            break;
+        }
+        // The request's clock starts at its first byte: time the
+        // connection sat parked is not request latency.
         let started = Instant::now();
         // One trace per request, carried through the handler → cache →
         // compute chain; the id always reaches the client via
         // `x-mobipriv-trace`, whether or not the timeline is sampled.
         let rec = SpanRecorder::new(next_trace_id());
         let parse_start = Instant::now();
-        let next = if served == 0 {
-            // The acceptor queued this connection because a request is
-            // (presumably) already on its way: read it directly under
-            // the ordinary request budget, as a fresh connection always
-            // did.
-            reader.set_deadline(config.timeout);
-            read_head(&mut reader).map(NextRequest::Head)
-        } else {
-            reader.next_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
-        };
+        let next = read_head(&mut reader);
         rec.record("parse", parse_start);
         let (mut response, keep) = match next {
-            Ok(NextRequest::Head(head)) => {
+            Ok(head) => {
                 // Clients that announce `Expect: 100-continue` (curl
                 // does for any body over 1 KiB) hold the body back
                 // until the interim response arrives — without it they
@@ -217,8 +223,6 @@ pub fn handle_connection(
                     && !shutdown.load(Ordering::SeqCst);
                 (response, keep)
             }
-            // Nothing arrived: no response owed, nothing to record.
-            Ok(NextRequest::Closed | NextRequest::IdleTimeout | NextRequest::Drain) => break,
             Err(e) => (Response::from_error(&e), false),
         };
         response

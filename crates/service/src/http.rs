@@ -6,8 +6,8 @@
 //! it is pushed to a caller-supplied sink in bounded chunks), and
 //! response writing. Connections are persistent (HTTP/1.1 keep-alive):
 //! responses are `Content-Length`-framed so the same socket carries
-//! sequential requests, and [`DeadlineReader::next_request`] parks a
-//! worker between them under an idle deadline. `Connection: close` (or
+//! sequential requests, and [`DeadlineReader::wait_for_request`] parks
+//! a worker between them under an idle deadline. `Connection: close` (or
 //! an HTTP/1.0 request without `Connection: keep-alive`) restores the
 //! old one-request-per-connection behavior.
 
@@ -327,11 +327,11 @@ pub struct DeadlineReader<R> {
 }
 
 /// What arrived while a persistent connection waited for its next
-/// request (see [`DeadlineReader::next_request`]).
-#[derive(Debug)]
+/// request (see [`DeadlineReader::wait_for_request`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextRequest {
-    /// A complete request head was parsed — serve it.
-    Head(RequestHead),
+    /// The first byte of a request arrived — parse it with [`read_head`].
+    Arrived,
     /// The peer closed the connection cleanly between requests.
     Closed,
     /// No request arrived within the idle deadline.
@@ -389,7 +389,10 @@ impl<R> DeadlineReader<R> {
 
 impl DeadlineReader<std::io::BufReader<std::net::TcpStream>> {
     /// Parks the connection until the first byte of the next request,
-    /// then parses the head under a fresh whole-request `budget`.
+    /// then arms a fresh whole-request `budget` for [`read_head`] and
+    /// the body. Callers start a request's clock after this returns
+    /// [`NextRequest::Arrived`], so time spent parked is never charged
+    /// to the request.
     ///
     /// Between requests the socket is polled in `poll`-sized slices so
     /// the shutdown flag and the `idle` deadline are both observed
@@ -397,21 +400,16 @@ impl DeadlineReader<std::io::BufReader<std::net::TcpStream>> {
     /// byte arrives the wait stops being idle and the per-request
     /// budget applies to the whole head, exactly as on a fresh
     /// connection. Pipelined bytes already buffered count as arrived
-    /// data, so back-to-back requests never wait on the socket.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`read_head`] returns once bytes have started flowing
-    /// (malformed or oversized heads, mid-head stalls). The idle wait
-    /// itself never errors: it reports [`NextRequest::Closed`],
-    /// [`NextRequest::IdleTimeout`] or [`NextRequest::Drain`].
-    pub fn next_request(
+    /// data, so back-to-back requests never wait on the socket. The
+    /// wait itself never errors: a transport error between requests
+    /// reports [`NextRequest::Closed`].
+    pub fn wait_for_request(
         &mut self,
         idle: std::time::Duration,
         poll: std::time::Duration,
         budget: std::time::Duration,
         shutdown: &std::sync::atomic::AtomicBool,
-    ) -> Result<NextRequest, ServiceError> {
+    ) -> NextRequest {
         use std::sync::atomic::Ordering;
         let idle_deadline = std::time::Instant::now() + idle;
         // The wait runs on the short socket timeout; park the request
@@ -420,11 +418,11 @@ impl DeadlineReader<std::io::BufReader<std::net::TcpStream>> {
         self.deadline = idle_deadline + budget;
         loop {
             if shutdown.load(Ordering::SeqCst) {
-                return Ok(NextRequest::Drain);
+                return NextRequest::Drain;
             }
             let _ = self.inner.get_ref().set_read_timeout(Some(poll));
             match self.inner.fill_buf() {
-                Ok([]) => return Ok(NextRequest::Closed),
+                Ok([]) => return NextRequest::Closed,
                 Ok(_) => break,
                 Err(e)
                     if matches!(
@@ -433,19 +431,19 @@ impl DeadlineReader<std::io::BufReader<std::net::TcpStream>> {
                     ) =>
                 {
                     if std::time::Instant::now() >= idle_deadline {
-                        return Ok(NextRequest::IdleTimeout);
+                        return NextRequest::IdleTimeout;
                     }
                 }
                 // A transport error between requests has no request to
                 // answer — same as the peer going away.
-                Err(_) => return Ok(NextRequest::Closed),
+                Err(_) => return NextRequest::Closed,
             }
         }
         // First byte seen: this is a live request. Restore the full
         // per-read socket timeout and arm the whole-request budget.
         let _ = self.inner.get_ref().set_read_timeout(Some(budget));
         self.deadline = std::time::Instant::now() + budget;
-        read_head(self).map(NextRequest::Head)
+        NextRequest::Arrived
     }
 }
 

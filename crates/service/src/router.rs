@@ -575,14 +575,15 @@ fn handle_router_connection(stream: TcpStream, state: &RouterState, shutdown: &A
     let mut writer = stream;
     let mut served: usize = 0;
     loop {
-        let next = if served == 0 {
+        if served == 0 {
             reader.set_deadline(config.timeout);
-            read_head(&mut reader).map(NextRequest::Head)
-        } else {
-            reader.next_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
-        };
-        let (proxied, keep) = match next {
-            Ok(NextRequest::Head(head)) => {
+        } else if reader.wait_for_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
+            != NextRequest::Arrived
+        {
+            break;
+        }
+        let (proxied, keep) = match read_head(&mut reader) {
+            Ok(head) => {
                 if head
                     .header("expect")
                     .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
@@ -619,7 +620,6 @@ fn handle_router_connection(stream: TcpStream, state: &RouterState, shutdown: &A
                     && !shutdown.load(Ordering::SeqCst);
                 (proxied, keep)
             }
-            Ok(NextRequest::Closed | NextRequest::IdleTimeout | NextRequest::Drain) => break,
             Err(e) => (Proxied::from_error(&e), false),
         };
         state.requests_total.inc();

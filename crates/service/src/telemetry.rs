@@ -38,7 +38,8 @@ pub struct ServiceMetrics {
     pub queue_depth: Gauge,
     /// High-water mark of [`ServiceMetrics::queue_depth`].
     pub queue_depth_peak: Gauge,
-    /// End-to-end request wall time (accept to response written).
+    /// End-to-end request wall time (request read to response written;
+    /// keep-alive idle time between requests is not counted).
     pub request_seconds: Histogram,
     /// Jobs that reached `done`.
     pub jobs_done_total: Counter,
@@ -100,7 +101,7 @@ impl ServiceMetrics {
         let request_seconds = registry.histogram(
             "mobipriv_http_request_seconds",
             &[],
-            "End-to-end request wall time, accept to response written",
+            "End-to-end request wall time, request read to response written",
         );
         let jobs_done_total = registry.counter(
             "mobipriv_jobs_done_total",

@@ -8,7 +8,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use mobipriv_core::{Engine, Mechanism};
+use mobipriv_eval::json::Json;
 use mobipriv_model::{read_bin, read_csv, write_bin, write_csv, write_ndjson, Dataset};
+use mobipriv_obs::scrape;
 use mobipriv_service::registry::{build_mechanism, Params};
 use mobipriv_service::{Server, ServerConfig, ServerHandle};
 use mobipriv_synth::scenarios;
@@ -623,6 +625,60 @@ fn idle_deadline_reclaims_parked_connections() {
     // The worker is free again: a fresh connection is served promptly.
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!((status, body.as_slice()), (200, &b"ready\n"[..]));
+    server.shutdown();
+}
+
+#[test]
+fn keep_alive_idle_time_is_not_charged_to_the_next_request() {
+    const PAUSE: Duration = Duration::from_millis(400);
+    let server = start(|_| {});
+    let addr = server.addr();
+    let mut stream = connect_keep_alive(addr);
+    let mut get_on = |target: &str| {
+        stream
+            .write_all(format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let (status, headers, body) = read_framed(&mut stream);
+        assert_eq!(status, 200, "{target}");
+        assert_eq!(headers["connection"], "keep-alive");
+        (headers, body)
+    };
+    let latency_sum = |body: &[u8]| {
+        scrape::parse(std::str::from_utf8(body).expect("UTF-8 exposition"))
+            .expect("parsable exposition")
+            .value("mobipriv_http_request_seconds_sum", &[])
+            .expect("request latency histogram")
+    };
+
+    let before = latency_sum(&get_on("/metrics").1);
+    // The client goes quiet on the open connection, then reuses it.
+    std::thread::sleep(PAUSE);
+    let (headers, _) = get_on("/healthz");
+    let trace = headers["x-mobipriv-trace"].clone();
+    let after = latency_sum(&get_on("/metrics").1);
+    // The delta holds the first scrape and the /healthz request — the
+    // pause between them is idle time, not latency.
+    let delta = after - before;
+    assert!(
+        delta < PAUSE.as_secs_f64() / 2.0,
+        "request latency sum grew {delta} s across a {PAUSE:?} idle pause"
+    );
+
+    let (_, doc) = get_on(&format!("/v1/traces/{trace}"));
+    let doc = Json::parse(std::str::from_utf8(&doc).unwrap()).expect("trace JSON");
+    let parse_us = doc
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("spans array")
+        .iter()
+        .find(|span| span.get("stage").and_then(Json::as_str) == Some("parse"))
+        .and_then(|span| span.get("dur_us"))
+        .and_then(Json::as_u64)
+        .expect("parse span");
+    assert!(
+        (parse_us as u128) < PAUSE.as_micros() / 2,
+        "parse span {parse_us} us after a {PAUSE:?} idle pause"
+    );
     server.shutdown();
 }
 

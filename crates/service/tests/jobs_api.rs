@@ -54,15 +54,17 @@ fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, HashMap<String, String>, 
 }
 
 fn get(addr: SocketAddr, target: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
+    // `connection: close` — these helpers read to EOF, and the server
+    // keeps an HTTP/1.1 connection open for its idle timeout otherwise.
     exchange(
         addr,
-        format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes(),
+        format!("GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
     )
 }
 
 fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
     let mut request = format!(
-        "POST {target} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+        "POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
         body.len()
     )
     .into_bytes();

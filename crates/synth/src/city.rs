@@ -1,15 +1,14 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{LatLng, LocalFrame, Point, Rect};
 
 /// Index of a [`Site`] within its [`City`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub usize);
 
 /// What kind of place a site is. Categories drive both the schedule
 /// generator and the semantic labelling of ground-truth POIs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteCategory {
     /// A residence — each agent is assigned one.
     Home,
@@ -33,7 +32,7 @@ impl SiteCategory {
 }
 
 /// A named place in the synthetic city.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Site {
     /// Identifier within the city.
     pub id: SiteId,
@@ -44,7 +43,7 @@ pub struct Site {
 }
 
 /// Configuration for [`City::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityConfig {
     /// Geographic anchor of the city (the local-frame origin).
     pub center: LatLng,

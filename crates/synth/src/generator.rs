@@ -1,6 +1,5 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::Seconds;
 use mobipriv_model::{Dataset, Fix, Timestamp, Trace, TraceBuilder, UserId};
@@ -14,7 +13,7 @@ use crate::{City, CityConfig, GpsConfig, MovementConfig};
 pub(crate) const DAY: i64 = 86_400;
 
 /// Top-level configuration of the synthetic-dataset generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// City layout parameters.
     pub city: CityConfig,

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{LocalFrame, Point, Seconds};
 use mobipriv_model::{Fix, ModelError, Trace, TraceBuilder};
@@ -8,7 +7,7 @@ use crate::randutil::normal;
 
 /// The GPS receiver model: how the continuous ground-truth movement is
 /// turned into the discrete, noisy fixes of a published trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpsConfig {
     /// Sampling interval between fixes.
     pub sample_interval: Seconds,

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::{Point, Seconds};
 use mobipriv_model::Timestamp;
@@ -8,7 +7,7 @@ use crate::randutil::truncated_normal;
 use crate::City;
 
 /// Parameters of the movement model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovementConfig {
     /// Mean and std of walking speed, m/s.
     pub walk_speed: (f64, f64),
@@ -42,7 +41,7 @@ impl Default for MovementConfig {
 }
 
 /// A timestamped planar way-point of the ground-truth movement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Planar position in the city frame.
     pub position: Point,

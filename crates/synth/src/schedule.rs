@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mobipriv_geo::Seconds;
 
@@ -7,7 +6,7 @@ use crate::randutil::truncated_normal;
 use crate::{City, SiteCategory, SiteId};
 
 /// One planned destination of a daily schedule, after leaving home.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stop {
     /// Where to go.
     pub site: SiteId,
@@ -18,7 +17,7 @@ pub struct Stop {
 
 /// Parameters of the daily-schedule sampler. All times are hours,
 /// all `(a, b)` pairs are (mean, standard deviation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleConfig {
     /// Hour of leaving home in the morning.
     pub leave_home_hour: (f64, f64),
@@ -52,7 +51,7 @@ impl Default for ScheduleConfig {
 
 /// The habitual places of one agent. Stability across days is what makes
 /// users re-identifiable — exactly the threat model of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentProfile {
     /// Residence (start and end of every day).
     pub home: SiteId,
@@ -104,7 +103,7 @@ impl AgentProfile {
 }
 
 /// A sampled day: when to leave home and the ordered destinations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayPlan {
     /// Offset from midnight at which the agent leaves home.
     pub leave_home: Seconds,

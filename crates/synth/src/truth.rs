@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mobipriv_geo::{LatLng, Seconds};
 use mobipriv_model::{Timestamp, UserId};
 
@@ -9,7 +7,7 @@ use crate::{SiteCategory, SiteId};
 
 /// One true stop of a user at a site — the ground truth a POI-extraction
 /// attack is scored against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Visit {
     /// Who visited.
     pub user: UserId,
@@ -41,7 +39,7 @@ impl Visit {
 /// // Every user has at least home & work visits.
 /// assert!(out.truth.visits_of_user(users[0]).len() >= 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroundTruth {
     visits: Vec<Visit>,
 }

@@ -20,12 +20,10 @@ binary read throughput must stay at least `--bin-floor` (default 3x)
 times CSV read throughput — the wire format's reason to exist — rather
 than on absolute Mfix/s, which scales with the runner.
 
-The layout section (AoS vs SoA speedups) is gated exactly like paths
-(committed-ratio floor), plus a hard floor on the reident entry
-(`--reident-floor`, default 1.01): the column-oriented profile scan
-must keep beating the pre-columnar implementation, not slide back to
-the historical ~1.01x plateau. The same hard floor applies to the
-reident paths entry.
+The reident paths entry also has a hard floor (`--reident-floor`,
+default 1.01): the pruned column-oriented profile scan must keep
+beating the brute-force reference, not slide back to the historical
+~1.01x plateau.
 
 The obs_overhead section is an absolute ceiling (`--obs-ceiling`,
 default 1.05): the engine run with observability hooks enabled must
@@ -138,32 +136,16 @@ def main(argv):
     for name in sorted(set(new) - set(base)):
         print(f"{name:>16} {'(new)':>10} {new[name]:>10.2f}x      -  ok (no baseline)")
 
-    # layout: AoS-vs-SoA speedups, gated like paths, with the hard
-    # reident floor on top (see module docstring).
-    def layouts(doc):
-        return {p["name"]: p["speedup"] for p in doc.get("layout", [])}
-
-    base_layout, new_layout = layouts(baseline), layouts(fresh)
-    for name, committed in sorted(base_layout.items()):
-        got = new_layout.get(name)
-        if got is None:
-            print(f"{name:>16} {committed:>10.2f} {'MISSING':>11}      -  FAIL (layout)")
-            failed = True
-            continue
-        ratio = got / committed
-        verdict = "ok" if ratio >= floor else "FAIL"
-        failed = failed or ratio < floor
-        print(f"{name:>16} {committed:>10.2f}x {got:>10.2f}x {ratio:>6.2f}  {verdict} (layout)")
-    for name in sorted(set(new_layout) - set(base_layout)):
-        print(f"{name:>16} {'(new)':>10} {new_layout[name]:>10.2f}x      -  ok (layout, no baseline)")
-    for label, got in (("paths", new.get("reident")), ("layout", new_layout.get("reident"))):
-        if got is not None:
-            verdict = "ok" if got > reident_floor else "FAIL"
-            failed = failed or got <= reident_floor
-            print(
-                f"{'reident':>16} {'(abs)':>10} {got:>10.2f}x      -  "
-                f"{verdict} ({label} > {reident_floor:.2f}x plateau)"
-            )
+    # reident: hard floor on top of the committed-ratio gate (see module
+    # docstring).
+    got = new.get("reident")
+    if got is not None:
+        verdict = "ok" if got > reident_floor else "FAIL"
+        failed = failed or got <= reident_floor
+        print(
+            f"{'reident':>16} {'(abs)':>10} {got:>10.2f}x      -  "
+            f"{verdict} (paths > {reident_floor:.2f}x plateau)"
+        )
 
     # parse: gate the bin-vs-csv read-throughput ratio, not absolute
     # Mfix/s (see module docstring).

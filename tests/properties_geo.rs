@@ -1,6 +1,6 @@
 //! Property-based tests on the geometric substrate.
 
-use mobipriv::geo::{chamfer_mean, GridIndex, LatLng, LocalFrame, Meters, Point, Polyline, Rect};
+use mobipriv::geo::{GridIndex, LatLng, LocalFrame, Meters, Point, Polyline, Rect};
 use proptest::prelude::*;
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
@@ -234,31 +234,6 @@ proptest! {
             .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
             .map(|(_, i)| i);
         prop_assert_eq!(got, brute);
-    }
-
-    /// chamfer_mean is bit-identical to the brute-force
-    /// fold-the-minimum mean.
-    #[test]
-    fn grid_chamfer_mean_matches_brute_force(
-        targets in arb_points(40),
-        queries in arb_points(20),
-        cell in 10.0f64..1_000.0,
-    ) {
-        let mut index = GridIndex::new(cell).unwrap();
-        for t in &targets {
-            index.insert(*t, ());
-        }
-        let brute: f64 = queries
-            .iter()
-            .map(|p| {
-                targets
-                    .iter()
-                    .map(|t| p.distance(*t).get())
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .sum::<f64>() / queries.len() as f64;
-        let got = chamfer_mean(&queries, &index).expect("both sides non-empty");
-        prop_assert_eq!(got.to_bits(), brute.to_bits(), "{} vs {}", got, brute);
     }
 
     /// Removal leaves the index agreeing with brute force over the

@@ -5,14 +5,16 @@
 //! where exact distance ties are common.
 //!
 //! The brute-force paths live on as `protect_with_report_naive` /
-//! `run_naive`; the golden corpus (`tests/eval_conformance.rs`) pins
-//! the indexed outputs against history, and this suite pins them
-//! against the reference implementations directly.
+//! `protect_naive` / `extract_dataset_naive` / `run_naive`; the golden
+//! corpus (`tests/eval_conformance.rs`) pins the indexed outputs
+//! against history, and this suite pins them against the reference
+//! implementations directly.
 
 use mobipriv::attacks::{HomeAttack, ReidentAttack, Tracker};
-use mobipriv::core::{KDelta, Mechanism, Promesse};
-use mobipriv::geo::{LatLng, LocalFrame, Point};
+use mobipriv::core::{GridGeneralization, KDelta, Mechanism, Promesse};
+use mobipriv::geo::{LatLng, LocalFrame, Point, Seconds};
 use mobipriv::model::{write_csv, Dataset, Fix, Timestamp, Trace, UserId};
+use mobipriv::poi::{ClusterConfig, PoiExtractor, StayPointConfig};
 use mobipriv::synth::scenarios;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,6 +95,56 @@ fn kdelta_indexed_equals_naive_on_exact_ties() {
         let (slow, slow_report) = mech.protect_with_report_naive(&dataset);
         assert_eq!(fast_report, slow_report, "k={k} δ={delta}");
         assert_eq!(csv_bytes(&fast), csv_bytes(&slow), "k={k} δ={delta}");
+    }
+}
+
+#[test]
+fn grid_generalization_columnar_equals_naive_across_workloads() {
+    for (name, dataset) in workloads() {
+        for mech in [
+            GridGeneralization::new(250.0).unwrap(),
+            GridGeneralization::new(500.0)
+                .unwrap()
+                .with_time_rounding(Seconds::new(100.0))
+                .unwrap(),
+        ] {
+            let fast = mech.protect(&dataset, &mut StdRng::seed_from_u64(0));
+            let slow = mech.protect_naive(&dataset);
+            assert_eq!(
+                csv_bytes(&fast),
+                csv_bytes(&slow),
+                "{name} {}: published datasets diverge",
+                mech.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn poi_extraction_columnar_equals_naive_across_workloads() {
+    // The default extractor and the wide one the reident attack uses
+    // against 200 m of noise.
+    let extractors = [
+        PoiExtractor::default(),
+        PoiExtractor::new(
+            StayPointConfig {
+                max_radius_m: 600.0,
+                min_dwell: Seconds::from_minutes(15.0),
+            },
+            ClusterConfig {
+                eps_m: 350.0,
+                min_pts: 1,
+            },
+        ),
+    ];
+    for (name, dataset) in workloads() {
+        for extractor in &extractors {
+            assert_eq!(
+                extractor.extract_dataset(&dataset),
+                extractor.extract_dataset_naive(&dataset),
+                "{name} {extractor:?}"
+            );
+        }
     }
 }
 
