@@ -168,8 +168,8 @@ pub enum ExecutionMode {
     Parallel,
 }
 
-/// Deterministic context handed to a [`TraceKernel`]
-/// (`crate::TraceKernel`) alongside the trace.
+/// Deterministic context handed to a
+/// [`TraceKernel`](crate::TraceKernel) alongside the trace.
 ///
 /// Everything here is a pure function of the experiment configuration
 /// and the trace's position in the input, so kernels that consume it

@@ -92,7 +92,7 @@ pub fn detect_stay_points(trace: &Trace, config: &StayPointConfig) -> Vec<StayPo
 /// fix `k`, which is exactly what
 /// [`DatasetColumns::trace_planar`](mobipriv_model::DatasetColumns::trace_planar)
 /// caches — with the radius comparisons pruned through
-/// [`within_radius`].
+/// `within_radius`.
 ///
 /// Output is bit-identical to [`detect_stay_points`]: the projection is
 /// the same values read instead of recomputed, and the pruned

@@ -40,12 +40,13 @@ options:
   --idle-timeout-ms N  how long a keep-alive connection may sit idle
                        between requests before the server closes it
                        (default 5000)
-  --route SHARDS       run as a shard router instead of a single node:
-                       SHARDS is a comma-separated list of shard
-                       addresses (host:port). Requests are routed to
-                       the shard owning the dataset digest (rendezvous
-                       hashing); /metrics and /v1/stats fan out and
-                       fold across shards. Only --addr, --workers,
+  --route SHARDS       run as a shard router instead of a single node
+                       (same connection handling, no engine): SHARDS
+                       is a comma-separated list of shard addresses
+                       (host:port). Requests are routed to the shard
+                       owning the dataset digest (rendezvous hashing);
+                       /metrics and /v1/stats both render one fold of
+                       the shards' /metrics. Only --addr, --workers,
                        --queue, --max-body-mb, --max-requests-per-conn
                        and --idle-timeout-ms apply in this mode.
   --job-workers N      async job executor threads (default 2)
@@ -84,6 +85,14 @@ options:
 fn fail(message: &str) -> ! {
     eprintln!("{message}\n\n{USAGE}");
     std::process::exit(2);
+}
+
+/// Unwraps a startup or serving result, exiting 1 on the error.
+fn or_exit<T>(result: std::io::Result<T>, context: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("mobipriv-serve: {context}{e}");
+        std::process::exit(1);
+    })
 }
 
 fn main() {
@@ -215,35 +224,16 @@ fn main() {
             ..RouterConfig::default()
         };
         let shard_count = router_config.shards.len();
-        let router = match Router::bind(router_config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("mobipriv-serve: bind failed: {e}");
-                std::process::exit(1);
-            }
-        };
+        let router = or_exit(Router::bind(router_config), "bind failed: ");
         let addr = router.local_addr().expect("bound socket has an address");
         println!(
             "mobipriv-serve listening on http://{addr} (workers={workers}, queue={queue}, \
              routing {shard_count} shards)"
         );
-        if let Err(e) = router.run() {
-            eprintln!("mobipriv-serve: {e}");
-            std::process::exit(1);
-        }
-        return;
+        return or_exit(router.run(), "");
     }
-    let server = match Server::bind(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mobipriv-serve: bind failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let server = or_exit(Server::bind(config), "bind failed: ");
     let addr = server.local_addr().expect("bound socket has an address");
     println!("mobipriv-serve listening on http://{addr} (workers={workers}, queue={queue})");
-    if let Err(e) = server.run() {
-        eprintln!("mobipriv-serve: {e}");
-        std::process::exit(1);
-    }
+    or_exit(server.run(), "");
 }

@@ -9,13 +9,16 @@
 //! [`Connection`] keeps one socket open and frames responses by
 //! `Content-Length`, so warm loops reuse the connection (and it
 //! transparently reconnects when the server closes — idle deadline,
-//! request cap, restart). Fixed-length bodies only, plus a deliberately
-//! tiny JSON field scraper for the flat status documents the API
-//! returns — full documents go through [`mobipriv_eval::Json`] instead.
+//! request cap, restart). Fixed-length bodies only, plus two one-call
+//! readers for a top-level field of the JSON documents the API returns
+//! ([`json_str_field`], [`json_u64_field`], both on
+//! [`mobipriv_eval::Json`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use mobipriv_eval::Json;
 
 /// Response header pairs, names lowercased — see [`request_full`].
 pub type Headers = Vec<(String, String)>;
@@ -359,26 +362,22 @@ pub fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str
         .map(|(_, v)| v.as_str())
 }
 
-/// Extracts `"field":"value"` from a flat JSON object.
+/// The string member `field` of the JSON object `body` (top level
+/// only, escapes decoded); `None` when `body` is not a JSON object or
+/// the member is missing or not a string.
 pub fn json_str_field(body: &[u8], field: &str) -> Option<String> {
-    let text = std::str::from_utf8(body).ok()?;
-    let needle = format!("\"{field}\":\"");
-    let start = text.find(&needle)? + needle.len();
-    let end = text[start..].find('"')? + start;
-    Some(text[start..end].to_owned())
+    top_level(body, field, |value| value.as_str().map(str::to_owned))
 }
 
-/// Extracts `"field":123` (a non-negative integer) from a flat JSON
-/// object.
+/// The non-negative integer member `field` of the JSON object `body`
+/// (top level only); `None` as for [`json_str_field`].
 pub fn json_u64_field(body: &[u8], field: &str) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let needle = format!("\"{field}\":");
-    let start = text.find(&needle)? + needle.len();
-    let digits: String = text[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    top_level(body, field, Json::as_u64)
+}
+
+fn top_level<T>(body: &[u8], field: &str, read: impl FnOnce(&Json) -> Option<T>) -> Option<T> {
+    let doc = Json::parse(std::str::from_utf8(body).ok()?).ok()?;
+    doc.get(field).and_then(read)
 }
 
 #[cfg(test)]
@@ -396,5 +395,17 @@ mod tests {
         assert_eq!(json_str_field(doc, "missing"), None);
         assert_eq!(json_u64_field(doc, "computations"), Some(7));
         assert_eq!(json_u64_field(doc, "id"), None, "string is not a number");
+        assert_eq!(json_u64_field(doc, "x"), None, "nested-only member");
+        // Only top-level members count: a nested `status` (or count)
+        // earlier in the document must not shadow the real one.
+        let doc = br#"{"attempts":[{"status":"failed","n":9}],"status":"done","n":2}"#;
+        assert_eq!(json_str_field(doc, "status").as_deref(), Some("done"));
+        assert_eq!(json_u64_field(doc, "n"), Some(2));
+        // Escaped quotes stay inside the string.
+        let doc = br#"{"error":"bad \"alpha\" value","id":"7"}"#;
+        assert_eq!(
+            json_str_field(doc, "error").as_deref(),
+            Some(r#"bad "alpha" value"#)
+        );
     }
 }

@@ -45,17 +45,17 @@ pub enum ServiceError {
 impl ServiceError {
     /// The HTTP status code and reason phrase for this error.
     pub fn status(&self) -> (u16, &'static str) {
-        match self {
-            ServiceError::BadRequest(_) => (400, "Bad Request"),
-            ServiceError::NotFound(_) => (404, "Not Found"),
-            ServiceError::MethodNotAllowed(_) => (405, "Method Not Allowed"),
-            ServiceError::ClientTimeout(_) => (408, "Request Timeout"),
-            ServiceError::PayloadTooLarge(_) => (413, "Payload Too Large"),
-            ServiceError::Unavailable(_) => (503, "Service Unavailable"),
-            ServiceError::Overloaded(_) => (503, "Service Unavailable"),
-            ServiceError::Internal(_) => (500, "Internal Server Error"),
-            ServiceError::DeadlineExceeded(_) => (504, "Gateway Timeout"),
-        }
+        let code = match self {
+            ServiceError::BadRequest(_) => 400,
+            ServiceError::NotFound(_) => 404,
+            ServiceError::MethodNotAllowed(_) => 405,
+            ServiceError::ClientTimeout(_) => 408,
+            ServiceError::PayloadTooLarge(_) => 413,
+            ServiceError::Unavailable(_) | ServiceError::Overloaded(_) => 503,
+            ServiceError::Internal(_) => 500,
+            ServiceError::DeadlineExceeded(_) => 504,
+        };
+        (code, crate::http::reason_phrase(code))
     }
 
     /// Whether retrying the same request later can plausibly succeed

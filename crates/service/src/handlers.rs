@@ -1,4 +1,5 @@
-//! Route dispatch and the endpoint handlers.
+//! Route dispatch and the endpoint handlers: the single node's request
+//! handler (its `Service`) on the connection runtime in `server.rs`.
 //!
 //! The serving surface has two shapes:
 //!
@@ -13,168 +14,62 @@
 //!
 //! Every cacheable response carries `x-mobipriv-cache: hit|miss`.
 
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mobipriv_eval::Json;
 use mobipriv_model::{
     digest::digest_hex, write_csv, Dataset, DatasetStream, ModelError, WireFormat,
 };
 use mobipriv_obs::logging::{self, FieldValue};
-use mobipriv_obs::metrics::{render_merged, Value};
+use mobipriv_obs::metrics::render_merged;
 use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 
 use crate::cache::{result_key, CacheOutcome, CachedResult};
 use crate::compute;
 use crate::datasets::Registered;
-use crate::http::{
-    read_head, stream_body, write_response, BodyFraming, DeadlineReader, NextRequest, RequestHead,
-};
+use crate::http::RequestHead;
 use crate::jobs::{JobKind, JobSpec, JobStatus, Submitted};
 use crate::registry::{mechanisms_json, resolve_mechanism, Params};
-use crate::server::ServerConfig;
+use crate::server::{Body, RequestBody, Response, Service};
 use crate::state::AppState;
+use crate::telemetry::stats_json;
 use crate::ServiceError;
 
-/// Per-read timeout *and* overall deadline while draining unread body
-/// after responding: bounds a stalled or trickling client's hold on a
-/// worker once its response is on the wire.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How often a parked keep-alive connection re-checks the shutdown
-/// flag (and its idle deadline) while waiting for the next request —
-/// bounds how long graceful drain waits on idle connections.
-const IDLE_POLL: Duration = Duration::from_millis(200);
-
-/// A response body: built for this request, or shared out of the
-/// result cache (hits serve the cached bytes without copying them).
-enum Body {
-    Owned(Vec<u8>),
-    Cached(Arc<CachedResult>),
-}
-
-impl Body {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Body::Owned(bytes) => bytes,
-            Body::Cached(result) => &result.body,
-        }
-    }
-}
-
-/// A fully materialized response, written in one shot after the handler
-/// finishes (so an error can still replace the whole response).
-struct Response {
-    status: u16,
-    reason: &'static str,
-    headers: Vec<(&'static str, String)>,
-    body: Body,
-}
-
 impl Response {
-    fn ok(content_type: &str, body: Vec<u8>) -> Response {
-        Response {
-            status: 200,
-            reason: "OK",
-            headers: vec![("content-type", content_type.to_owned())],
-            body: Body::Owned(body),
-        }
-    }
-
-    fn json(status: u16, reason: &'static str, doc: &Json) -> Response {
-        let mut body = String::new();
-        doc.write(&mut body);
-        body.push('\n');
-        Response {
-            status,
-            reason,
-            headers: vec![("content-type", "application/json".to_owned())],
-            body: Body::Owned(body.into_bytes()),
-        }
-    }
-
-    fn from_error(error: &ServiceError) -> Response {
-        let (status, reason) = error.status();
-        let mut headers = vec![("content-type", "text/plain".to_owned())];
-        if let ServiceError::MethodNotAllowed(allow) = error {
-            headers.push(("allow", (*allow).to_owned()));
-        }
-        if let ServiceError::Overloaded(retry_after_s) = error {
-            headers.push(("retry-after", retry_after_s.to_string()));
-        }
-        Response {
-            status,
-            reason,
-            headers,
-            body: Body::Owned(format!("{error}\n").into_bytes()),
-        }
-    }
-
     /// A 200 serving a cached result's bytes and computation headers,
     /// plus the cache-outcome marker.
     fn from_cached(result: Arc<CachedResult>, outcome: CacheOutcome) -> Response {
-        let mut headers = vec![("content-type", result.content_type.to_owned())];
+        let mut headers = vec![("content-type".into(), result.content_type.to_owned())];
         for (name, value) in &result.headers {
-            headers.push((name, value.clone()));
+            headers.push(((*name).into(), value.clone()));
         }
-        headers.push(("x-mobipriv-cache", outcome.header_value().to_owned()));
-        headers.push(("x-mobipriv-key", result_key(&result.canonical)));
+        headers.push(("x-mobipriv-cache".into(), outcome.header_value().to_owned()));
+        headers.push(("x-mobipriv-key".into(), result_key(&result.canonical)));
         Response {
             status: 200,
-            reason: "OK",
             headers,
             body: Body::Cached(result),
         }
     }
 }
 
-/// Serves one connection end to end: parse, route, respond — then, on
-/// a keep-alive connection, parks for the next request and repeats.
-/// All request errors become status-mapped responses (always with
-/// `connection: close`, so an error can never desync the stream);
-/// I/O failures while responding are dropped with the connection.
-///
-/// The connection is reused only when all of these hold: the client
-/// asked for it ([`RequestHead::keep_alive`]), the response was a
-/// success, the declared body was fully consumed (leftover bytes would
-/// be parsed as the next head), the per-connection request cap has not
-/// been reached, and the server is not draining for shutdown.
-pub fn handle_connection(
-    stream: TcpStream,
-    config: &ServerConfig,
-    state: &AppState,
-    shutdown: &AtomicBool,
-) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_owned());
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // Each request (head + body) gets one wall-clock budget: per-read
-    // socket timeouts reset on every byte, so without this a trickling
-    // client could hold the worker indefinitely.
-    let mut reader = DeadlineReader::new(BufReader::new(read_half), config.timeout);
-    let mut writer = stream;
-    let mut served: usize = 0;
-    loop {
-        if served == 0 {
-            // The acceptor queued this connection because a request is
-            // (presumably) already on its way: read it directly under
-            // the ordinary request budget, as a fresh connection always
-            // did.
-            reader.set_deadline(config.timeout);
-        } else if reader.wait_for_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
-            != NextRequest::Arrived
-        {
-            // Closed, idle or draining: no response owed, nothing to
-            // record.
-            break;
-        }
+/// One node request in flight: its clock and its span timeline.
+pub(crate) struct Exchange {
+    started: Instant,
+    rec: SpanRecorder,
+}
+
+/// The single node: every request is routed to its handler below, and
+/// every response carries the request's `x-mobipriv-trace` id and lands
+/// in the request metrics and the trace store.
+impl Service for AppState {
+    type Request = Exchange;
+
+    fn open(
+        &self,
+        read_head: impl FnOnce() -> Result<RequestHead, ServiceError>,
+    ) -> (Exchange, Result<RequestHead, ServiceError>) {
         // The request's clock starts at its first byte: time the
         // connection sat parked is not request latency.
         let started = Instant::now();
@@ -182,90 +77,39 @@ pub fn handle_connection(
         // compute chain; the id always reaches the client via
         // `x-mobipriv-trace`, whether or not the timeline is sampled.
         let rec = SpanRecorder::new(next_trace_id());
-        let parse_start = Instant::now();
-        let next = read_head(&mut reader);
-        rec.record("parse", parse_start);
-        let (mut response, keep) = match next {
-            Ok(head) => {
-                // Clients that announce `Expect: 100-continue` (curl
-                // does for any body over 1 KiB) hold the body back
-                // until the interim response arrives — without it they
-                // stall ~1 s per request, or forever if strict.
-                if head
-                    .header("expect")
-                    .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
-                {
-                    let _ = writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-                    let _ = writer.flush();
-                }
-                let framing = head.framing();
-                let consumed_before = reader.bytes_read();
-                let response = route(&head, &mut reader, config, state, &rec, &peer)
-                    .unwrap_or_else(|e| Response::from_error(&e));
-                // Reuse demands the stream be positioned exactly at the
-                // next request head. A fixed-length body the handler
-                // ignored could be drained here, but closing is just as
-                // correct and far simpler to reason about; a chunked
-                // body's consumption is only known if the handler
-                // actually streamed it to the terminator (any 2xx did).
-                let consumed = reader.bytes_read() - consumed_before;
-                let body_clean = match framing {
-                    Ok(BodyFraming::None) => true,
-                    Ok(BodyFraming::Length(n)) => consumed >= n,
-                    Ok(BodyFraming::Chunked) => consumed > 0 && response.status < 300,
-                    Err(_) => false,
-                };
-                served += 1;
-                let keep = head.keep_alive()
-                    && response.status < 400
-                    && body_clean
-                    && served < config.max_requests_per_conn
-                    && !shutdown.load(Ordering::SeqCst);
-                (response, keep)
-            }
-            Err(e) => (Response::from_error(&e), false),
-        };
+        let head = rec.time("parse", read_head);
+        (Exchange { started, rec }, head)
+    }
+
+    fn respond(
+        &self,
+        exchange: &Exchange,
+        head: &RequestHead,
+        body: &mut RequestBody<'_>,
+    ) -> Response {
+        route(head, body, self, &exchange.rec).unwrap_or_else(|e| Response::from_error(&e))
+    }
+
+    fn close(
+        &self,
+        exchange: Exchange,
+        mut response: Response,
+        write: impl FnOnce(&Response) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let Exchange { started, rec } = exchange;
         response
             .headers
-            .push(("x-mobipriv-trace", rec.id().to_owned()));
+            .push(("x-mobipriv-trace".into(), rec.id().to_owned()));
         if response.status == 408 {
-            state.metrics.client_timeouts_total.inc();
+            self.metrics.client_timeouts_total.inc();
         }
-        let write_start = Instant::now();
-        let io = write_response(
-            &mut writer,
-            response.status,
-            response.reason,
-            &response.headers,
-            response.body.bytes(),
-            keep,
-        );
-        rec.record("write", write_start);
-        state
-            .metrics
+        let io = rec.time("write", || write(&response));
+        self.metrics
             .record_request(response.status, started.elapsed());
-        state.metrics.record_spans(&rec);
-        state.traces.store(&rec);
-        if !keep || io.is_err() {
-            break;
-        }
+        self.metrics.record_spans(&rec);
+        self.traces.store(&rec);
+        io
     }
-    // Half-close, then drain any unread body (bounded by the body limit
-    // plus slack, and by an overall wall-clock deadline): dropping the
-    // socket with bytes still in the receive buffer makes the kernel
-    // send RST, which can discard the response (typically an early
-    // 400/413) before the client reads it. The FIN goes out first so a
-    // client that waits for the response before closing is never
-    // deadlocked against the drain.
-    let drain_limit = config.max_body_bytes.saturating_add(1024 * 1024);
-    let _ = writer.shutdown(Shutdown::Write);
-    let _ = reader
-        .get_ref()
-        .get_ref()
-        .set_read_timeout(Some(DRAIN_TIMEOUT));
-    // Drain from the inner reader: the request deadline may already
-    // have passed, but the drain carries its own (short) budget.
-    crate::http::drain(reader.get_mut(), drain_limit, DRAIN_TIMEOUT);
 }
 
 /// `GET /healthz` — liveness *and* readiness. Always `200` while the
@@ -294,11 +138,9 @@ fn timeout_ms(params: Params<'_>) -> Result<Option<u64>, ServiceError> {
 
 fn route(
     head: &RequestHead,
-    reader: &mut DeadlineReader<BufReader<TcpStream>>,
-    config: &ServerConfig,
+    body: &mut RequestBody<'_>,
     state: &AppState,
     rec: &SpanRecorder,
-    peer: &str,
 ) -> Result<Response, ServiceError> {
     match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => Ok(healthz(state)),
@@ -309,8 +151,8 @@ fn route(
         )),
         ("GET", "/v1/evaluate") => evaluate(head),
         ("GET", "/v1/stats") => Ok(stats(state)),
-        ("POST", "/v1/anonymize") => anonymize(head, reader, config, state, rec, peer),
-        ("POST", "/v1/datasets") => register_dataset(head, reader, config, state, rec, peer),
+        ("POST", "/v1/anonymize") => anonymize(head, body, state, rec),
+        ("POST", "/v1/datasets") => register_dataset(head, body, state, rec),
         ("GET", "/v1/datasets") => Ok(list_datasets(state)),
         ("POST", "/v1/jobs") => submit_job(head, state),
         ("GET", "/v1/jobs") => Ok(list_jobs(state)),
@@ -348,21 +190,19 @@ fn route(
 /// it.
 fn read_body_dataset(
     head: &RequestHead,
-    reader: &mut DeadlineReader<BufReader<TcpStream>>,
-    config: &ServerConfig,
+    body: &mut RequestBody<'_>,
     rec: &SpanRecorder,
-    peer: &str,
 ) -> Result<(Dataset, u64), ServiceError> {
     let format = body_format(head)?;
-    let framing = head.framing()?;
+    let peer = body.peer();
     let parse_start = Instant::now();
     let mut stream = DatasetStream::new(format);
-    let received = stream_body(reader, framing, config.max_body_bytes, |chunk| {
+    let received = body.stream(head, |chunk| {
         stream
             .push_chunk(chunk)
-            .map_err(|e| parse_reject(e, rec, peer))
+            .map_err(|e| parse_reject(e, rec, &peer))
     })?;
-    let dataset = stream.finish().map_err(|e| parse_reject(e, rec, peer))?;
+    let dataset = stream.finish().map_err(|e| parse_reject(e, rec, &peer))?;
     rec.record("parse", parse_start);
     Ok((dataset, received))
 }
@@ -401,11 +241,9 @@ fn parse_reject(error: ModelError, rec: &SpanRecorder, peer: &str) -> ServiceErr
 /// byte-identical bodies (`x-mobipriv-cache` says which happened).
 fn anonymize(
     head: &RequestHead,
-    reader: &mut DeadlineReader<BufReader<TcpStream>>,
-    config: &ServerConfig,
+    body: &mut RequestBody<'_>,
     state: &AppState,
     rec: &SpanRecorder,
-    peer: &str,
 ) -> Result<Response, ServiceError> {
     let params = Params(&head.query);
     let resolved = resolve_mechanism(params)?;
@@ -426,7 +264,7 @@ fn anonymize(
             })?;
             (Arc::clone(&entry.dataset), entry.digest.clone(), 0)
         } else {
-            let (dataset, received) = read_body_dataset(head, reader, config, rec, peer)?;
+            let (dataset, received) = read_body_dataset(head, body, rec)?;
             // Digest the *canonical* serialization: CSV, NDJSON and
             // chunked uploads of the same data share one cache entry.
             let digest_start = Instant::now();
@@ -468,7 +306,7 @@ fn anonymize(
     let mut response = Response::from_cached(result, outcome);
     response
         .headers
-        .push(("x-mobipriv-body-bytes", received.to_string()));
+        .push(("x-mobipriv-body-bytes".into(), received.to_string()));
     Ok(response)
 }
 
@@ -481,13 +319,11 @@ fn anonymize(
 /// idempotent (`registered: "exists"`).
 fn register_dataset(
     head: &RequestHead,
-    reader: &mut DeadlineReader<BufReader<TcpStream>>,
-    config: &ServerConfig,
+    body: &mut RequestBody<'_>,
     state: &AppState,
     rec: &SpanRecorder,
-    peer: &str,
 ) -> Result<Response, ServiceError> {
-    let (dataset, received) = read_body_dataset(head, reader, config, rec, peer)?;
+    let (dataset, received) = read_body_dataset(head, body, rec)?;
     if dataset.is_empty() {
         return Err(ServiceError::BadRequest(
             "dataset body is empty (nothing to register)".into(),
@@ -514,10 +350,10 @@ fn register_dataset(
         ("bytes".into(), Json::UInt(entry.bytes)),
         ("received_bytes".into(), Json::UInt(received)),
     ]);
-    let mut response = Response::json(200, "OK", &doc);
+    let mut response = Response::json(200, &doc);
     response
         .headers
-        .push(("x-mobipriv-digest", entry.digest.clone()));
+        .push(("x-mobipriv-digest".into(), entry.digest.clone()));
     Ok(response)
 }
 
@@ -538,7 +374,7 @@ fn list_datasets(state: &AppState) -> Response {
         .iter()
         .map(|e| dataset_json(e))
         .collect();
-    Response::json(200, "OK", &Json::Arr(entries))
+    Response::json(200, &Json::Arr(entries))
 }
 
 /// `GET /v1/datasets/:digest` — one registered dataset's metadata.
@@ -547,7 +383,7 @@ fn dataset_meta(digest: &str, state: &AppState) -> Result<Response, ServiceError
         .datasets
         .get(digest)
         .ok_or_else(|| ServiceError::NotFound(format!("/v1/datasets/{digest}")))?;
-    Ok(Response::json(200, "OK", &dataset_json(&entry)))
+    Ok(Response::json(200, &dataset_json(&entry)))
 }
 
 /// `POST /v1/jobs?dataset=…&mechanism=…[&kind=anonymize|evaluate][&seed=…][&report=1]`
@@ -624,16 +460,16 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     ));
     let doc = Json::Obj(doc);
     Ok(if done {
-        Response::json(200, "OK", &doc)
+        Response::json(200, &doc)
     } else {
-        Response::json(202, "Accepted", &doc)
+        Response::json(202, &doc)
     })
 }
 
 /// `GET /v1/jobs` — every live job record.
 fn list_jobs(state: &AppState) -> Response {
     let jobs: Vec<Json> = state.jobs.list().iter().map(|j| j.to_json()).collect();
-    Response::json(200, "OK", &Json::Arr(jobs))
+    Response::json(200, &Json::Arr(jobs))
 }
 
 /// `GET /v1/jobs/:id` — one job's status document.
@@ -642,7 +478,7 @@ fn job_status(id: &str, state: &AppState) -> Result<Response, ServiceError> {
         .jobs
         .get(id)
         .ok_or_else(|| ServiceError::NotFound(format!("/v1/jobs/{id}")))?;
-    Ok(Response::json(200, "OK", &job.to_json()))
+    Ok(Response::json(200, &job.to_json()))
 }
 
 /// `GET /v1/results/:key` — the finished bytes for a content address.
@@ -665,9 +501,7 @@ fn fetch_result(key: &str, state: &AppState) -> Result<Response, ServiceError> {
             JobStatus::Failed => Err(ServiceError::Internal(format!(
                 "job {key} failed (see /v1/jobs/{key})"
             ))),
-            JobStatus::Queued | JobStatus::Running => {
-                Ok(Response::json(202, "Accepted", &job.to_json()))
-            }
+            JobStatus::Queued | JobStatus::Running => Ok(Response::json(202, &job.to_json())),
         },
         None => Err(ServiceError::NotFound(format!("/v1/results/{key}"))),
     }
@@ -707,104 +541,17 @@ fn trace_detail(id: &str, state: &AppState) -> Result<Response, ServiceError> {
         ("id".into(), Json::Str(stored.id.clone())),
         ("spans".into(), Json::Arr(spans)),
     ]);
-    Ok(Response::json(200, "OK", &doc))
+    Ok(Response::json(200, &doc))
 }
 
-/// The registry snapshot as a flat JSON object (`name{labels}` keys),
-/// embedded in `/v1/stats` so JSON-speaking clients get the full metric
-/// set without parsing the Prometheus text format.
-fn metrics_json(state: &AppState) -> Json {
-    let mut samples = state.metrics.registry.snapshot();
-    samples.extend(mobipriv_obs::global().snapshot());
-    let members = samples
-        .into_iter()
-        .map(|sample| {
-            let mut key = sample.name;
-            if !sample.labels.is_empty() {
-                key.push('{');
-                for (i, (name, value)) in sample.labels.iter().enumerate() {
-                    if i > 0 {
-                        key.push(',');
-                    }
-                    key.push_str(name);
-                    key.push('=');
-                    key.push_str(value);
-                }
-                key.push('}');
-            }
-            let value = match sample.value {
-                Value::Counter(v) => Json::UInt(v),
-                Value::Gauge(v) if v >= 0 => Json::UInt(v as u64),
-                Value::Gauge(v) => Json::Num(v as f64),
-                Value::Histogram(h) => Json::Obj(vec![
-                    ("count".into(), Json::UInt(h.count)),
-                    ("sum_seconds".into(), Json::Num(h.sum_seconds())),
-                ]),
-            };
-            (key, value)
-        })
-        .collect();
-    Json::Obj(members)
-}
-
-/// `GET /v1/stats` — registry/cache/job counters, including the
-/// single-flight computation counter the stress tests assert on. The
-/// historical top-level fields read the same registry handles as
-/// `GET /metrics` (one source of truth); the `metrics` member embeds
-/// the full snapshot for JSON-speaking clients.
+/// `GET /v1/stats` — the same two registries `GET /metrics` renders,
+/// as JSON: the cache, registry, job and store counters as flat fields
+/// (including the single-flight computation counter the stress tests
+/// assert on), and every series under `"metrics"`.
 fn stats(state: &AppState) -> Response {
     state.refresh_gauges();
-    let (dataset_count, dataset_bytes) = state.datasets.stats();
-    let (result_count, result_bytes) = state.results.stats();
-    let (hits, misses) = state.results.hit_miss();
-    let (queued, running, done, failed) = state.jobs.counts();
-    let mut members = vec![
-        (
-            "computations".into(),
-            Json::UInt(state.results.computations()),
-        ),
-        ("cache_hits".into(), Json::UInt(hits)),
-        ("cache_misses".into(), Json::UInt(misses)),
-        (
-            "datasets".into(),
-            Json::Obj(vec![
-                ("count".into(), Json::UInt(dataset_count as u64)),
-                ("bytes".into(), Json::UInt(dataset_bytes)),
-            ]),
-        ),
-        (
-            "results".into(),
-            Json::Obj(vec![
-                ("count".into(), Json::UInt(result_count as u64)),
-                ("bytes".into(), Json::UInt(result_bytes)),
-            ]),
-        ),
-        (
-            "jobs".into(),
-            Json::Obj(vec![
-                ("queued".into(), Json::UInt(queued as u64)),
-                ("running".into(), Json::UInt(running as u64)),
-                ("done".into(), Json::UInt(done as u64)),
-                ("failed".into(), Json::UInt(failed as u64)),
-            ]),
-        ),
-    ];
-    if let Some(store) = &state.store {
-        let s = store.stats();
-        members.push((
-            "store".into(),
-            Json::Obj(vec![
-                ("blobs".into(), Json::UInt(s.blobs)),
-                ("blob_bytes".into(), Json::UInt(s.blob_bytes)),
-                ("journal_bytes".into(), Json::UInt(s.journal_bytes)),
-                ("journal_records".into(), Json::UInt(s.journal_records)),
-                ("quarantined".into(), Json::UInt(s.quarantined)),
-            ]),
-        ));
-    }
-    members.push(("metrics".into(), metrics_json(state)));
-    let doc = Json::Obj(members);
-    Response::json(200, "OK", &doc)
+    let doc = stats_json(&[&state.metrics.registry, mobipriv_obs::global()]);
+    Response::json(200, &doc)
 }
 
 /// `GET /v1/evaluate[?preset=smoke|full][&scenario=…][&mechanism=…][&seed=…][&timings=1]`
@@ -861,9 +608,12 @@ fn evaluate(head: &RequestHead) -> Result<Response, ServiceError> {
     };
     let report = mobipriv_eval::evaluate(&plan);
     let headers = vec![
-        ("content-type", "application/json".to_owned()),
-        ("x-mobipriv-eval-cells", report.cells.len().to_string()),
-        ("x-mobipriv-eval-plan", report.plan.clone()),
+        ("content-type".into(), "application/json".to_owned()),
+        (
+            "x-mobipriv-eval-cells".into(),
+            report.cells.len().to_string(),
+        ),
+        ("x-mobipriv-eval-plan".into(), report.plan.clone()),
     ];
     let body = if timings {
         report.to_json_timed()
@@ -872,7 +622,6 @@ fn evaluate(head: &RequestHead) -> Result<Response, ServiceError> {
     };
     Ok(Response {
         status: 200,
-        reason: "OK",
         headers,
         body: Body::Owned(body.into_bytes()),
     })

@@ -318,7 +318,7 @@ fn decode_component(s: &str, plus_as_space: bool) -> Result<String, ServiceError
 /// Wrapping the connection in a `DeadlineReader` turns the configured
 /// timeout into a whole-request budget: head and body parsing both go
 /// through it, and the first read past the deadline errors out with
-/// `TimedOut` (mapped to a clean `408` by [`read_error`]).
+/// `TimedOut` (mapped to a clean `408` by `read_error`).
 #[derive(Debug)]
 pub struct DeadlineReader<R> {
     inner: R,
@@ -589,6 +589,25 @@ where
         remaining -= n as u64;
     }
     Ok(())
+}
+
+/// The reason phrase for a status the service sends — the one table
+/// behind [`ServiceError::status`] and every success or forwarded
+/// response (the router re-derives a shard's phrase from its status).
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        202 => "Accepted",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "",
+    }
 }
 
 /// Writes a complete response (status line, headers, `Content-Length`,

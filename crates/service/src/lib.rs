@@ -17,7 +17,7 @@
 //! | `POST /v1/jobs?dataset=…&mechanism=…` | submit an async anonymization or evaluation job against a registered digest |
 //! | `GET /v1/jobs[/:id]` | job records / one job's `queued→running→done|failed` status with progress |
 //! | `GET /v1/results/:key` | the finished bytes for a content address |
-//! | `GET /v1/stats` | registry, cache and job counters (incl. the single-flight computation counter), with the full metric registry embedded under `"metrics"` |
+//! | `GET /v1/stats` | the metrics registry as JSON: cache, registry, job (and store) counters as flat fields (incl. the single-flight computation counter), every series under `"metrics"` — the same numbers `/metrics` renders |
 //! | `GET /v1/mechanisms` | the mechanism catalogue with parameters and defaults |
 //! | `GET /v1/evaluate?scenario=…&mechanism=…` | run the evaluation matrix (attacks + utility metrics) on synthetic workloads, get the JSON [`EvalReport`](mobipriv_eval::EvalReport) |
 //! | `GET /metrics` | Prometheus text exposition: request/cache/job/queue counters and per-stage latency histograms ([`telemetry`]) |
@@ -55,10 +55,11 @@
 //!   Without the flag the server is pure in-memory, as before.
 //! * **Transport reuse & scale-out** — responses are
 //!   `Content-Length`-framed so HTTP/1.1 connections persist across
-//!   requests ([`http`]), and `--route shard,…` turns a node into a
-//!   thin consistent-hash proxy over keep-alive upstream connections
-//!   ([`router`]): responses stay byte-identical whether they travel
-//!   one hop or two, and a dead shard degrades only its own key range.
+//!   requests ([`http`]), and `--route shard,…` runs the same
+//!   connection runtime as a thin consistent-hash proxy over keep-alive
+//!   upstream connections ([`router`]): responses stay byte-identical
+//!   whether they travel one hop or two, and a dead shard degrades only
+//!   its own key range.
 //!
 //! # Example
 //!

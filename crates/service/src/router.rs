@@ -20,32 +20,29 @@
 //!
 //! * Keyed routes (`/v1/anonymize`, `/v1/datasets`, `/v1/jobs` with a
 //!   `dataset` digest, `/v1/datasets/:digest`) go to the owning shard
-//!   over a pooled keep-alive [`Connection`](crate::client::Connection)
-//!   and get **no failover**: a dead shard turns its own key range into
+//!   over a pooled keep-alive [`Connection`] and get **no failover**: a dead shard turns its own key range into
 //!   `503`s (counted per shard in `mobipriv_route_errors_total`) while
 //!   every other range keeps serving.
 //! * Id-based lookups (`/v1/jobs/:id`, `/v1/results/:key`,
 //!   `/v1/traces/:id`) are not invertible to a dataset digest, so they
 //!   fan out and the first non-404 answer wins.
-//! * `GET /metrics` and `GET /v1/stats` fan out to every shard and
-//!   *fold*: counters, gauges and histogram buckets sum exactly
-//!   ([`Scrape::fold`]), so the router presents cluster totals in the
-//!   same exposition format a single node serves.
+//! * `GET /metrics` and `GET /v1/stats` scrape every shard's
+//!   `/metrics` and *fold* the scrapes once ([`Scrape::fold`]:
+//!   counters, gauges and histogram buckets sum exactly); both
+//!   endpoints render that one fold, so the router presents cluster
+//!   totals in the same formats a single node serves.
 //! * The body the client sent is forwarded byte-for-byte (the router
 //!   parses it only to learn the digest), so responses stay
 //!   byte-identical to a single-node deployment.
 //!
-//! The downstream (client-facing) side speaks the same persistent
-//! HTTP/1.1 the single-node server does: keep-alive with idle
-//! deadlines, a per-connection request cap, and graceful drain on
-//! shutdown.
+//! The downstream (client-facing) side is the single node's own
+//! runtime (`server.rs`): the same accept queue, load shedding,
+//! keep-alive loop, idle deadline, request cap and graceful drain. The
+//! router only answers the requests.
 
-use std::io::{BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::borrow::Cow;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mobipriv_eval::Json;
@@ -57,19 +54,10 @@ use mobipriv_obs::scrape::{self, Scrape};
 
 use crate::client::{Connection, Headers};
 use crate::handlers::body_format;
-use crate::http::{
-    read_head, stream_body, write_response, DeadlineReader, NextRequest, RequestHead,
-};
+use crate::http::RequestHead;
+use crate::server::{Body, Limits, QueueMetrics, RequestBody, Response, Runtime, Service};
+use crate::telemetry::stats_json;
 use crate::ServiceError;
-
-/// How often a parked keep-alive connection re-checks the shutdown
-/// flag while waiting for its next request (mirrors the single-node
-/// server's poll slice).
-const IDLE_POLL: Duration = Duration::from_millis(200);
-
-/// Per-read timeout and overall deadline while draining unread body
-/// after the last response (mirrors the single-node server).
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 // ---------------------------------------------------------------------------
 // Rendezvous hashing
@@ -221,47 +209,29 @@ impl Router {
     ///
     /// Propagates `getsockname(2)` failure.
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
-        let state = Arc::new(RouterState::new(self.config));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (sender, receiver) =
-            std::sync::mpsc::sync_channel::<TcpStream>(state.config.queue_depth);
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers: Vec<JoinHandle<()>> = (0..state.config.workers.max(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let state = Arc::clone(&state);
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::Builder::new()
-                    .name(format!("mobipriv-route-{i}"))
-                    .spawn(move || worker_loop(&receiver, &state, &shutdown))
-                    .expect("spawn router worker thread")
-            })
-            .collect();
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            let listener = self.listener;
-            std::thread::Builder::new()
-                .name("mobipriv-route-acceptor".to_owned())
-                .spawn(move || accept_loop(&listener, sender, &shutdown, &state))
-                .expect("spawn router acceptor thread")
+        let config = &self.config;
+        let limits = Limits {
+            workers: config.workers,
+            queue_depth: config.queue_depth,
+            max_body_bytes: config.max_body_bytes,
+            timeout: config.timeout,
+            idle_timeout: config.idle_timeout,
+            max_requests_per_conn: config.max_requests_per_conn,
         };
+        let state = Arc::new(RouterState::new(self.config));
+        let shards = state.shards.len();
+        // The router exports no queue series of its own.
+        let runtime = Runtime::spawn(self.listener, limits, state, QueueMetrics::default())?;
         logging::info(
             "service::router",
             None,
             "router listening",
             &[
-                ("addr", FieldValue::Str(&addr.to_string())),
-                ("shards", FieldValue::U64(state.shards.len() as u64)),
+                ("addr", FieldValue::Str(&runtime.addr.to_string())),
+                ("shards", FieldValue::U64(shards as u64)),
             ],
         );
-        Ok(RouterHandle {
-            addr,
-            shutdown,
-            acceptor,
-            workers,
-        })
+        Ok(RouterHandle { runtime })
     }
 
     /// Serves until the process exits (the foreground mode of
@@ -271,27 +241,20 @@ impl Router {
     ///
     /// Propagates `getsockname(2)` failure from [`Router::spawn`].
     pub fn run(self) -> std::io::Result<()> {
-        let handle = self.spawn()?;
-        let _ = handle.acceptor.join();
-        for worker in handle.workers {
-            let _ = worker.join();
-        }
+        self.spawn()?.runtime.join();
         Ok(())
     }
 }
 
 /// Control handle for a running router.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    runtime: Runtime,
 }
 
 impl std::fmt::Debug for RouterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHandle")
-            .field("addr", &self.addr)
+            .field("addr", &self.runtime.addr)
             .finish_non_exhaustive()
     }
 }
@@ -299,30 +262,16 @@ impl std::fmt::Debug for RouterHandle {
 impl RouterHandle {
     /// The address the router is reachable on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.runtime.addr
     }
 
     /// Graceful shutdown: stops accepting, finishes in-flight
     /// requests, joins every thread. The shards are *not* touched —
     /// they are independent processes with their own lifecycles.
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match self.addr {
-                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            });
+        if self.runtime.stop() {
+            self.runtime.join();
         }
-        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
-            let _ = self.acceptor.join();
-            for worker in self.workers {
-                let _ = worker.join();
-            }
-        }
-        // Same exotic-bind caveat as ServerHandle::shutdown: if even
-        // loopback cannot connect, the threads are left to exit on the
-        // next connection rather than hanging the caller.
     }
 }
 
@@ -349,6 +298,7 @@ struct Pool {
 struct Shard {
     name: String,
     cap: usize,
+    timeout: Duration,
     pool: Mutex<Pool>,
     checkout: Condvar,
     requests: Counter,
@@ -361,16 +311,15 @@ impl Shard {
     /// while it stays usable.
     fn call(
         &self,
-        timeout: Duration,
         method: &str,
         target: &str,
         content_type: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
         self.requests.inc();
-        let mut conn = match self.checkout(timeout) {
+        let mut conn = match self.checkout() {
             Ok(Some(conn)) => conn,
-            Ok(None) => match Connection::connect(self.name.as_str(), timeout) {
+            Ok(None) => match Connection::connect(self.name.as_str(), self.timeout) {
                 Ok(conn) => conn,
                 Err(e) => {
                     self.release(None);
@@ -402,11 +351,12 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// `TimedOut` when the pool stays saturated past `timeout`.
+    /// `TimedOut` when the pool stays saturated past the request
+    /// timeout.
     ///
     /// [`release`]: Shard::release
-    fn checkout(&self, timeout: Duration) -> std::io::Result<Option<Connection>> {
-        let deadline = Instant::now() + timeout;
+    fn checkout(&self) -> std::io::Result<Option<Connection>> {
+        let deadline = Instant::now() + self.timeout;
         let mut pool = self.pool.lock().expect("shard pool poisoned");
         loop {
             if let Some(conn) = pool.idle.pop() {
@@ -447,7 +397,6 @@ impl Shard {
 
 /// Everything the router's workers share.
 struct RouterState {
-    config: RouterConfig,
     shards: Vec<Shard>,
     /// Shard names, index-aligned with `shards` (the rendezvous
     /// functions take the name list).
@@ -470,6 +419,7 @@ impl RouterState {
             .map(|name| Shard {
                 name: name.clone(),
                 cap: config.upstream_conns.max(1),
+                timeout: config.timeout,
                 pool: Mutex::new(Pool {
                     idle: Vec::new(),
                     out: 0,
@@ -487,11 +437,9 @@ impl RouterState {
                 ),
             })
             .collect();
-        let names = config.shards.clone();
         RouterState {
-            config,
             shards,
-            names,
+            names: config.shards,
             registry,
             requests_total,
         }
@@ -499,232 +447,61 @@ impl RouterState {
 }
 
 // ---------------------------------------------------------------------------
-// Downstream connection handling
-// ---------------------------------------------------------------------------
-
-fn accept_loop(
-    listener: &TcpListener,
-    sender: SyncSender<TcpStream>,
-    shutdown: &AtomicBool,
-    state: &RouterState,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_read_timeout(Some(state.config.timeout));
-        let _ = stream.set_write_timeout(Some(state.config.timeout));
-        // Same delayed-ACK hazard as the server's accept loop: a
-        // keep-alive response tail must not wait for Nagle.
-        let _ = stream.set_nodelay(true);
-        match sender.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(stream)) | Err(TrySendError::Disconnected(stream)) => {
-                logging::warn(
-                    "service::router",
-                    None,
-                    "connection shed: router queue full",
-                    &[(
-                        "queue_depth",
-                        FieldValue::U64(state.config.queue_depth as u64),
-                    )],
-                );
-                crate::server::shed(stream);
-            }
-        }
-    }
-}
-
-fn worker_loop(receiver: &Mutex<Receiver<TcpStream>>, state: &RouterState, shutdown: &AtomicBool) {
-    loop {
-        let stream = {
-            let guard = receiver.lock().expect("router queue mutex poisoned");
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_router_connection(stream, state, shutdown);
-                }));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Serves one client connection end to end, with the same keep-alive
-/// contract as the single-node server: per-request deadlines, an idle
-/// deadline between requests, a request cap, close-on-error, and a
-/// half-close + bounded drain at the end.
-fn handle_router_connection(stream: TcpStream, state: &RouterState, shutdown: &AtomicBool) {
-    let config = &state.config;
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = DeadlineReader::new(BufReader::new(read_half), config.timeout);
-    let mut writer = stream;
-    let mut served: usize = 0;
-    loop {
-        if served == 0 {
-            reader.set_deadline(config.timeout);
-        } else if reader.wait_for_request(config.idle_timeout, IDLE_POLL, config.timeout, shutdown)
-            != NextRequest::Arrived
-        {
-            break;
-        }
-        let (proxied, keep) = match read_head(&mut reader) {
-            Ok(head) => {
-                if head
-                    .header("expect")
-                    .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
-                {
-                    let _ = writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-                    let _ = writer.flush();
-                }
-                // The whole body is buffered before forwarding: the
-                // router must hash it to pick the owner, and buffering
-                // also decouples a slow client from the shard
-                // connection. The single-node body limit caps memory.
-                let mut body = Vec::new();
-                let body_ok = match head.framing() {
-                    Ok(framing) => {
-                        match stream_body(&mut reader, framing, config.max_body_bytes, |chunk| {
-                            body.extend_from_slice(chunk);
-                            Ok(())
-                        }) {
-                            Ok(_) => Ok(()),
-                            Err(e) => Err(e),
-                        }
-                    }
-                    Err(e) => Err(e),
-                };
-                let (proxied, body_clean) = match body_ok {
-                    Ok(()) => (dispatch(&head, &body, state), true),
-                    Err(e) => (Proxied::from_error(&e), false),
-                };
-                served += 1;
-                let keep = head.keep_alive()
-                    && proxied.status < 400
-                    && body_clean
-                    && served < config.max_requests_per_conn
-                    && !shutdown.load(Ordering::SeqCst);
-                (proxied, keep)
-            }
-            Err(e) => (Proxied::from_error(&e), false),
-        };
-        state.requests_total.inc();
-        let headers: Vec<(&str, String)> = proxied
-            .headers
-            .iter()
-            .map(|(name, value)| (name.as_str(), value.clone()))
-            .collect();
-        let io = write_response(
-            &mut writer,
-            proxied.status,
-            proxied.reason,
-            &headers,
-            &proxied.body,
-            keep,
-        );
-        if !keep || io.is_err() {
-            break;
-        }
-    }
-    let drain_limit = config.max_body_bytes.saturating_add(1024 * 1024);
-    let _ = writer.shutdown(Shutdown::Write);
-    let _ = reader
-        .get_ref()
-        .get_ref()
-        .set_read_timeout(Some(DRAIN_TIMEOUT));
-    crate::http::drain(reader.get_mut(), drain_limit, DRAIN_TIMEOUT);
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// A response about to be written downstream: either a shard's answer
-/// (hop-by-hop headers stripped; the body byte-identical) or one the
-/// router built itself (folds, placement errors).
-struct Proxied {
-    status: u16,
-    reason: &'static str,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
+/// The router answers every request from the whole body: it buffers the
+/// body first (it must hash it to pick the owner, and buffering also
+/// decouples a slow client from the shard connection; the single-node
+/// body limit caps memory), then dispatches.
+impl Service for RouterState {
+    type Request = ();
+
+    fn open(
+        &self,
+        read_head: impl FnOnce() -> Result<RequestHead, ServiceError>,
+    ) -> ((), Result<RequestHead, ServiceError>) {
+        ((), read_head())
+    }
+
+    fn respond(&self, (): &(), head: &RequestHead, body: &mut RequestBody<'_>) -> Response {
+        let mut buffered = Vec::new();
+        let received = body.stream(head, |chunk| {
+            buffered.extend_from_slice(chunk);
+            Ok(())
+        });
+        match received {
+            Ok(_) => dispatch(head, &buffered, self),
+            Err(e) => Response::from_error(&e),
+        }
+    }
+
+    fn close(
+        &self,
+        (): (),
+        response: Response,
+        write: impl FnOnce(&Response) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        self.requests_total.inc();
+        write(&response)
+    }
 }
 
-impl Proxied {
-    fn forwarded(status: u16, headers: Headers, body: Vec<u8>) -> Proxied {
+impl Response {
+    /// A shard's answer, re-framed for the client: the hop-by-hop
+    /// headers are dropped (the runtime writes its own), the body stays
+    /// byte-identical.
+    fn forwarded(status: u16, headers: Headers, body: Vec<u8>) -> Response {
         let headers = headers
             .into_iter()
             .filter(|(name, _)| name != "content-length" && name != "connection")
+            .map(|(name, value)| (Cow::Owned(name), value))
             .collect();
-        Proxied {
+        Response {
             status,
-            reason: reason_for(status),
             headers,
-            body,
+            body: Body::Owned(body),
         }
-    }
-
-    fn ok(content_type: &str, body: Vec<u8>) -> Proxied {
-        Proxied {
-            status: 200,
-            reason: "OK",
-            headers: vec![("content-type".to_owned(), content_type.to_owned())],
-            body,
-        }
-    }
-
-    fn json(doc: &Json) -> Proxied {
-        let mut body = String::new();
-        doc.write(&mut body);
-        body.push('\n');
-        Proxied::ok("application/json", body.into_bytes())
-    }
-
-    fn from_error(error: &ServiceError) -> Proxied {
-        let (status, reason) = error.status();
-        let mut headers = vec![("content-type".to_owned(), "text/plain".to_owned())];
-        if let ServiceError::MethodNotAllowed(allow) = error {
-            headers.push(("allow".to_owned(), (*allow).to_owned()));
-        }
-        Proxied {
-            status,
-            reason,
-            headers,
-            body: format!("{error}\n").into_bytes(),
-        }
-    }
-}
-
-/// The canonical reason phrase for a forwarded status (the shard's own
-/// phrase is not on the parsed-header path; bodies, not phrases, carry
-/// the byte-identity guarantee).
-fn reason_for(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        201 => "Created",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "",
     }
 }
 
@@ -765,12 +542,19 @@ fn percent_encode(s: &str) -> String {
 }
 
 /// Routes one buffered request to its answer.
-fn dispatch(head: &RequestHead, body: &[u8], state: &RouterState) -> Proxied {
+fn dispatch(head: &RequestHead, body: &[u8], state: &RouterState) -> Response {
     let target = forward_target(head);
     match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => health(state),
-        ("GET", "/metrics") => fold_metrics(state),
-        ("GET", "/v1/stats") => fold_stats(state, &target),
+        ("GET", "/metrics") => {
+            let (folded, _) = fold_shards(state);
+            let text = render_merged(&[&state.registry, &folded]);
+            Response::ok("text/plain; version=0.0.4", text.into_bytes())
+        }
+        ("GET", "/v1/stats") => match fold_shards(state) {
+            (_, 0) => Response::from_error(&ServiceError::Unavailable("no shard reachable".into())),
+            (folded, _) => Response::json(200, &stats_json(&[&state.registry, &folded])),
+        },
         ("GET", "/v1/route") => route_debug(head, state),
         ("GET", "/v1/datasets" | "/v1/jobs") => merge_lists(state, &target),
         ("POST", "/v1/anonymize" | "/v1/datasets") => {
@@ -830,20 +614,20 @@ fn content_type(head: &RequestHead) -> &str {
 
 /// Forwards to the single owning shard — no failover: a dead owner
 /// 503s its own key range and nothing else.
-fn keyed(state: &RouterState, key: &str, head: &RequestHead, body: &[u8], target: &str) -> Proxied {
+fn keyed(
+    state: &RouterState,
+    key: &str,
+    head: &RequestHead,
+    body: &[u8],
+    target: &str,
+) -> Response {
     let Some(owner) = rendezvous_owner(&state.names, key) else {
-        return Proxied::from_error(&ServiceError::Unavailable("no shards configured".into()));
+        return Response::from_error(&ServiceError::Unavailable("no shards configured".into()));
     };
     let shard = &state.shards[owner];
-    match shard.call(
-        state.config.timeout,
-        &head.method,
-        target,
-        content_type(head),
-        body,
-    ) {
-        Ok((status, headers, body)) => Proxied::forwarded(status, headers, body),
-        Err(e) => Proxied::from_error(&ServiceError::Unavailable(format!(
+    match shard.call(&head.method, target, content_type(head), body) {
+        Ok((status, headers, body)) => Response::forwarded(status, headers, body),
+        Err(e) => Response::from_error(&ServiceError::Unavailable(format!(
             "shard {} unreachable: {e}",
             shard.name
         ))),
@@ -853,20 +637,16 @@ fn keyed(state: &RouterState, key: &str, head: &RequestHead, body: &[u8], target
 /// Forwards to the highest-ranked live shard (stateless routes, where
 /// any shard answers identically): tries the rendezvous order for the
 /// target until one responds.
-fn any_shard(state: &RouterState, head: &RequestHead, body: &[u8], target: &str) -> Proxied {
+fn any_shard(state: &RouterState, head: &RequestHead, body: &[u8], target: &str) -> Response {
     for index in rendezvous_rank(&state.names, target) {
         let shard = &state.shards[index];
-        if let Ok((status, headers, body)) = shard.call(
-            state.config.timeout,
-            &head.method,
-            target,
-            content_type(head),
-            body,
-        ) {
-            return Proxied::forwarded(status, headers, body);
+        if let Ok((status, headers, body)) =
+            shard.call(&head.method, target, content_type(head), body)
+        {
+            return Response::forwarded(status, headers, body);
         }
     }
-    Proxied::from_error(&ServiceError::Unavailable("no shard reachable".into()))
+    Response::from_error(&ServiceError::Unavailable("no shard reachable".into()))
 }
 
 /// Fans a GET out to every shard and answers with the first non-404
@@ -875,158 +655,111 @@ fn any_shard(state: &RouterState, head: &RequestHead, body: &[u8], target: &str)
 /// last 404 (byte-identical to a single node's); a 404 with an
 /// unreachable shard in the mix is a 503, because the missing shard
 /// may hold the answer.
-fn find_anywhere(state: &RouterState, head: &RequestHead, target: &str) -> Proxied {
+fn find_anywhere(state: &RouterState, head: &RequestHead, target: &str) -> Response {
     let mut dead = 0usize;
-    let mut last_miss: Option<Proxied> = None;
+    let mut last_miss: Option<Response> = None;
     for shard in &state.shards {
-        match shard.call(state.config.timeout, &head.method, target, "text/csv", &[]) {
-            Ok((404, headers, body)) => last_miss = Some(Proxied::forwarded(404, headers, body)),
-            Ok((status, headers, body)) => return Proxied::forwarded(status, headers, body),
+        match shard.call(&head.method, target, "text/csv", &[]) {
+            Ok((404, headers, body)) => last_miss = Some(Response::forwarded(404, headers, body)),
+            Ok((status, headers, body)) => return Response::forwarded(status, headers, body),
             Err(_) => dead += 1,
         }
     }
     if dead > 0 {
-        return Proxied::from_error(&ServiceError::Unavailable(format!(
+        return Response::from_error(&ServiceError::Unavailable(format!(
             "{dead} shard(s) unreachable while resolving {target}"
         )));
     }
-    last_miss.unwrap_or_else(|| Proxied::from_error(&ServiceError::NotFound(head.path.clone())))
+    last_miss.unwrap_or_else(|| Response::from_error(&ServiceError::NotFound(head.path.clone())))
 }
 
 /// `GET /healthz` — liveness of the router itself (always `200`);
 /// `ready` only when every shard answered `ready`, `degraded`
 /// otherwise, mirroring the single-node body contract.
-fn health(state: &RouterState) -> Proxied {
+fn health(state: &RouterState) -> Response {
     let all_ready = state.shards.iter().all(|shard| {
         matches!(
-            shard.call(state.config.timeout, "GET", "/healthz", "text/csv", &[]),
+            shard.call("GET", "/healthz", "text/csv", &[]),
             Ok((200, _, body)) if body == b"ready\n"
         )
     });
     let body = if all_ready { "ready\n" } else { "degraded\n" };
-    Proxied::ok("text/plain", body.as_bytes().to_vec())
+    Response::ok("text/plain", body.as_bytes().to_vec())
 }
 
 /// `GET /v1/route?key=…` — the placement debug endpoint: which shard
 /// owns a key, and the full failover rank. The shard-smoke harness
 /// uses it to learn each digest's owner before killing a shard.
-fn route_debug(head: &RequestHead, state: &RouterState) -> Proxied {
+fn route_debug(head: &RequestHead, state: &RouterState) -> Response {
     let Some(key) = head.query_param("key") else {
-        return Proxied::from_error(&ServiceError::BadRequest(
+        return Response::from_error(&ServiceError::BadRequest(
             "missing required parameter `key`".into(),
         ));
     };
     let Some(owner) = rendezvous_owner(&state.names, key) else {
-        return Proxied::from_error(&ServiceError::Unavailable("no shards configured".into()));
+        return Response::from_error(&ServiceError::Unavailable("no shards configured".into()));
     };
     let rank: Vec<Json> = rendezvous_rank(&state.names, key)
         .into_iter()
         .map(|i| Json::Str(state.names[i].clone()))
         .collect();
-    Proxied::json(&Json::Obj(vec![
-        ("key".to_owned(), Json::Str(key.to_owned())),
-        ("shard".to_owned(), Json::Str(state.names[owner].clone())),
-        ("rank".to_owned(), Json::Arr(rank)),
-    ]))
+    Response::json(
+        200,
+        &Json::Obj(vec![
+            ("key".to_owned(), Json::Str(key.to_owned())),
+            ("shard".to_owned(), Json::Str(state.names[owner].clone())),
+            ("rank".to_owned(), Json::Arr(rank)),
+        ]),
+    )
 }
 
-/// `GET /metrics` — scrapes every reachable shard, folds the
-/// expositions exactly (counters and gauges sum, histogram buckets
-/// add) and merges the router's own registry in, so one scrape sees
-/// cluster totals plus the `mobipriv_route_*` counters.
-fn fold_metrics(state: &RouterState) -> Proxied {
-    let mut scrapes: Vec<Scrape> = Vec::new();
-    for shard in &state.shards {
-        if let Ok((200, _, body)) =
-            shard.call(state.config.timeout, "GET", "/metrics", "text/csv", &[])
-        {
-            if let Some(scrape) = std::str::from_utf8(&body)
-                .ok()
-                .and_then(|text| scrape::parse(text).ok())
-            {
-                scrapes.push(scrape);
-            }
-        }
-    }
+/// `GET`s `target` from every shard: the bodies of the `200` answers
+/// (an unreachable shard contributes nothing; its keyed routes are
+/// already 503ing).
+fn gather(state: &RouterState, target: &str) -> Vec<String> {
+    let answers = state
+        .shards
+        .iter()
+        .map(|shard| shard.call("GET", target, "text/csv", &[]));
+    answers
+        .filter_map(|answer| match answer {
+            Ok((200, _, body)) => String::from_utf8(body).ok(),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Scrapes every reachable shard's `/metrics` and folds the scrapes
+/// exactly (counters and gauges sum, histogram buckets add) — the one
+/// cluster view behind both `GET /metrics` (merged with the router's
+/// own `mobipriv_route_*` registry) and `GET /v1/stats`. Returns the
+/// fold and how many shards contributed to it.
+fn fold_shards(state: &RouterState) -> (Registry, usize) {
+    let scrapes: Vec<Scrape> = gather(state, "/metrics")
+        .iter()
+        .filter_map(|text| scrape::parse(text).ok())
+        .collect();
     let refs: Vec<&Scrape> = scrapes.iter().collect();
-    let folded = Scrape::fold(&refs);
-    let text = render_merged(&[&state.registry, &folded]);
-    Proxied::ok("text/plain; version=0.0.4", text.into_bytes())
-}
-
-/// `GET /v1/stats` — fans out and folds the JSON documents: numbers
-/// sum, arrays concatenate, objects merge recursively, strings keep
-/// the first shard's value.
-fn fold_stats(state: &RouterState, target: &str) -> Proxied {
-    let mut folded: Option<Json> = None;
-    for shard in &state.shards {
-        if let Ok((200, _, body)) = shard.call(state.config.timeout, "GET", target, "text/csv", &[])
-        {
-            if let Some(doc) = std::str::from_utf8(&body)
-                .ok()
-                .and_then(|text| Json::parse(text).ok())
-            {
-                match folded.as_mut() {
-                    Some(acc) => fold_json(acc, &doc),
-                    None => folded = Some(doc),
-                }
-            }
-        }
-    }
-    match folded {
-        Some(doc) => Proxied::json(&doc),
-        None => Proxied::from_error(&ServiceError::Unavailable("no shard reachable".into())),
-    }
+    (Scrape::fold(&refs), scrapes.len())
 }
 
 /// `GET /v1/datasets` / `GET /v1/jobs` — fans out and concatenates the
-/// per-shard listings. Unreachable shards contribute nothing (their
-/// keyed routes are already 503ing); the listing stays available.
-fn merge_lists(state: &RouterState, target: &str) -> Proxied {
-    let mut merged: Vec<Json> = Vec::new();
-    let mut reached = 0usize;
-    for shard in &state.shards {
-        if let Ok((200, _, body)) = shard.call(state.config.timeout, "GET", target, "text/csv", &[])
-        {
-            reached += 1;
-            if let Some(Json::Arr(items)) = std::str::from_utf8(&body)
-                .ok()
-                .and_then(|text| Json::parse(text).ok())
-            {
-                merged.extend(items);
-            }
-        }
+/// per-shard listings; the listing stays available while any shard
+/// answers.
+fn merge_lists(state: &RouterState, target: &str) -> Response {
+    let listings = gather(state, target);
+    if listings.is_empty() {
+        return Response::from_error(&ServiceError::Unavailable("no shard reachable".into()));
     }
-    if reached == 0 {
-        return Proxied::from_error(&ServiceError::Unavailable("no shard reachable".into()));
-    }
-    Proxied::json(&Json::Arr(merged))
-}
-
-/// Recursive JSON fold for `/v1/stats`: numeric leaves sum, arrays
-/// concatenate, objects merge key-wise; anything else keeps the first
-/// value seen.
-fn fold_json(acc: &mut Json, add: &Json) {
-    match (acc, add) {
-        (Json::Obj(a), Json::Obj(b)) => {
-            for (key, value) in b {
-                match a.iter_mut().find(|(k, _)| k == key) {
-                    Some((_, slot)) => fold_json(slot, value),
-                    None => a.push((key.clone(), value.clone())),
-                }
-            }
-        }
-        (Json::Arr(a), Json::Arr(b)) => a.extend(b.iter().cloned()),
-        (Json::UInt(a), Json::UInt(b)) => *a = a.saturating_add(*b),
-        (Json::Num(a), Json::Num(b)) => *a += b,
-        (acc @ Json::UInt(_), Json::Num(b)) => {
-            if let Json::UInt(a) = *acc {
-                *acc = Json::Num(a as f64 + b);
-            }
-        }
-        (Json::Num(a), Json::UInt(b)) => *a += *b as f64,
-        _ => {}
-    }
+    let merged = listings
+        .iter()
+        .filter_map(|text| match Json::parse(text) {
+            Ok(Json::Arr(items)) => Some(items),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    Response::json(200, &Json::Arr(merged))
 }
 
 #[cfg(test)]
@@ -1113,21 +846,5 @@ mod tests {
             forward_target(&head),
             "/v1/anonymize?mechanism=promesse&cell=a%20b%2Cc"
         );
-    }
-
-    #[test]
-    fn fold_json_sums_numbers_and_concatenates_arrays() {
-        let mut acc = Json::parse(r#"{"count":3,"ratio":0.5,"items":[1],"name":"a"}"#).unwrap();
-        let add =
-            Json::parse(r#"{"count":4,"ratio":0.25,"items":[2],"name":"b","extra":1}"#).unwrap();
-        fold_json(&mut acc, &add);
-        assert_eq!(acc.get("count").and_then(Json::as_u64), Some(7));
-        assert_eq!(acc.get("ratio").and_then(Json::as_f64), Some(0.75));
-        assert_eq!(
-            acc.get("items").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(2)
-        );
-        assert_eq!(acc.get("name").and_then(Json::as_str), Some("a"));
-        assert_eq!(acc.get("extra").and_then(Json::as_u64), Some(1));
     }
 }

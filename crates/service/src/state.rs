@@ -39,7 +39,7 @@ pub struct AppState {
     /// The persistence layer (`None` = pure in-memory server).
     pub store: Option<Arc<Store>>,
     /// The compute circuit breaker every cold compute is admitted
-    /// through (see [`AppState::guarded_compute`]).
+    /// through (see `AppState::guarded_compute`).
     pub breaker: Breaker,
     /// The fault injector (disarmed unless the server was started with
     /// `--chaos` / `MOBIPRIV_CHAOS`).

@@ -1,6 +1,6 @@
 //! The server's observability surface: one per-server metrics registry
-//! (plus handles for the hot-path series) and the span-timeline store
-//! behind `GET /v1/traces/:id`.
+//! (plus handles for the hot-path series), and the `/v1/stats` document
+//! rendered from registries alone.
 //!
 //! Request/cache/job/queue metrics are **per server**, owned by
 //! [`AppState`](crate::AppState): the workspace's tests and benches
@@ -13,7 +13,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use mobipriv_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use mobipriv_eval::Json;
+use mobipriv_obs::metrics::{Counter, Gauge, Histogram, Registry, Sample, Value};
 use mobipriv_obs::trace::SpanRecorder;
 
 /// The request stages recorded as spans and as
@@ -243,4 +244,105 @@ impl ServiceMetrics {
             histogram.observe(span.dur_us as f64 / 1e6);
         }
     }
+}
+
+/// Renders `GET /v1/stats` from `registries`, in the order `/metrics`
+/// merges them: every series under `"metrics"`, keyed
+/// `name{label=value,…}`, and in front of it the flat fields clients
+/// have always read (cache, dataset-registry and job numbers, plus the
+/// store's when one is attached) — each one of those series, looked up
+/// by key. A node passes its own and the process-global registry; the
+/// router passes its own and the fold of its shards' `/metrics`, so the
+/// cluster sums are the fold's.
+pub(crate) fn stats_json(registries: &[&Registry]) -> Json {
+    let metrics: Vec<(String, Json)> = registries
+        .iter()
+        .flat_map(|registry| registry.snapshot())
+        .map(metric_member)
+        .collect();
+    let series = |key: &str| metrics.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let field = |key: &str| series(key).cloned().unwrap_or(Json::UInt(0));
+    let object = |fields: &[(&str, &str)]| {
+        let members = fields
+            .iter()
+            .map(|(name, key)| ((*name).to_owned(), field(key)));
+        Json::Obj(members.collect())
+    };
+    let mut members = vec![
+        (
+            "computations".to_owned(),
+            field("mobipriv_cache_computations_total"),
+        ),
+        ("cache_hits".to_owned(), field("mobipriv_cache_hits_total")),
+        (
+            "cache_misses".to_owned(),
+            field("mobipriv_cache_misses_total"),
+        ),
+        (
+            "datasets".to_owned(),
+            object(&[
+                ("count", "mobipriv_datasets"),
+                ("bytes", "mobipriv_dataset_bytes"),
+            ]),
+        ),
+        (
+            "results".to_owned(),
+            object(&[
+                ("count", "mobipriv_cache_entries"),
+                ("bytes", "mobipriv_cache_bytes"),
+            ]),
+        ),
+        (
+            "jobs".to_owned(),
+            object(&[
+                ("queued", "mobipriv_jobs{state=queued}"),
+                ("running", "mobipriv_jobs{state=running}"),
+                ("done", "mobipriv_jobs{state=done}"),
+                ("failed", "mobipriv_jobs{state=failed}"),
+            ]),
+        ),
+    ];
+    if series("mobipriv_store_blobs").is_some() {
+        members.push((
+            "store".to_owned(),
+            object(&[
+                ("blobs", "mobipriv_store_blobs"),
+                ("blob_bytes", "mobipriv_store_blob_bytes"),
+                ("journal_bytes", "mobipriv_store_journal_bytes"),
+                ("journal_records", "mobipriv_store_journal_records_total"),
+                ("quarantined", "mobipriv_store_quarantined"),
+            ]),
+        ));
+    }
+    members.push(("metrics".to_owned(), Json::Obj(metrics)));
+    Json::Obj(members)
+}
+
+/// One `"metrics"` member of `/v1/stats`: the series key
+/// `name{label=value,…}` and its value (a histogram as its count and
+/// sum).
+fn metric_member(sample: Sample) -> (String, Json) {
+    let mut key = sample.name;
+    if !sample.labels.is_empty() {
+        key.push('{');
+        for (i, (name, value)) in sample.labels.iter().enumerate() {
+            if i > 0 {
+                key.push(',');
+            }
+            key.push_str(name);
+            key.push('=');
+            key.push_str(value);
+        }
+        key.push('}');
+    }
+    let value = match sample.value {
+        Value::Counter(v) => Json::UInt(v),
+        Value::Gauge(v) if v >= 0 => Json::UInt(v as u64),
+        Value::Gauge(v) => Json::Num(v as f64),
+        Value::Histogram(h) => Json::Obj(vec![
+            ("count".into(), Json::UInt(h.count)),
+            ("sum_seconds".into(), Json::Num(h.sum_seconds())),
+        ]),
+    };
+    (key, value)
 }

@@ -1,6 +1,8 @@
 //! Integration tests over real sockets: boot the server on an ephemeral
 //! port, speak HTTP/1.1 to it, and hold the responses to the service's
-//! determinism contract — byte-identical to the batch [`Engine`].
+//! determinism contract — byte-identical to the batch [`Engine`]. The
+//! connection-contract cases run against a router over one shard too:
+//! both share one connection runtime.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -12,7 +14,7 @@ use mobipriv_eval::json::Json;
 use mobipriv_model::{read_bin, read_csv, write_bin, write_csv, write_ndjson, Dataset};
 use mobipriv_obs::scrape;
 use mobipriv_service::registry::{build_mechanism, Params};
-use mobipriv_service::{Server, ServerConfig, ServerHandle};
+use mobipriv_service::{Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle};
 use mobipriv_synth::scenarios;
 
 fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
@@ -22,6 +24,73 @@ fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server")
+}
+
+/// What a connection-contract test talks to.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// A single node.
+    Node,
+    /// A router in front of one default node.
+    Router,
+}
+
+const TARGETS: [Target; 2] = [Target::Node, Target::Router];
+
+/// A running [`Target`]: the node, and for [`Target::Router`] the
+/// router in front of it.
+struct Front {
+    node: ServerHandle,
+    router: Option<RouterHandle>,
+}
+
+impl Front {
+    fn addr(&self) -> SocketAddr {
+        self.router
+            .as_ref()
+            .map_or(self.node.addr(), RouterHandle::addr)
+    }
+
+    fn shutdown(self) {
+        if let Some(router) = self.router {
+            router.shutdown();
+        }
+        self.node.shutdown();
+    }
+}
+
+/// [`start`] for `target`: the connection knobs `configure` sets apply
+/// to whatever the client talks to (the router, which has the same
+/// knobs, in front of a default node).
+fn start_on(target: Target, configure: impl FnOnce(&mut ServerConfig)) -> Front {
+    match target {
+        Target::Node => Front {
+            node: start(configure),
+            router: None,
+        },
+        Target::Router => {
+            let node = start(|_| {});
+            let mut knobs = ServerConfig::default();
+            configure(&mut knobs);
+            let router = Router::bind(RouterConfig {
+                shards: vec![node.addr().to_string()],
+                workers: knobs.workers,
+                queue_depth: knobs.queue_depth,
+                max_body_bytes: knobs.max_body_bytes,
+                timeout: knobs.timeout,
+                idle_timeout: knobs.idle_timeout,
+                max_requests_per_conn: knobs.max_requests_per_conn,
+                ..RouterConfig::default()
+            })
+            .expect("bind router")
+            .spawn()
+            .expect("spawn router");
+            Front {
+                node,
+                router: Some(router),
+            }
+        }
+    }
 }
 
 /// Sends raw bytes, returns (status, lowercased headers, body).
@@ -319,30 +388,38 @@ fn expect_100_continue_gets_an_interim_response() {
     // stalls ~1 s unless the server answers the interim response.
     let workload = scenarios::serving_day(3, 1);
     let csv = csv_of(&workload.dataset);
-    let server = start(|_| {});
-    let mut request = format!(
-        "POST /v1/anonymize?mechanism=raw&seed=1 HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
-         expect: 100-continue\r\ncontent-length: {}\r\n\r\n",
-        csv.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(&csv);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(&request).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let text = String::from_utf8_lossy(&raw);
-    assert!(
-        text.starts_with("HTTP/1.1 100 Continue\r\n\r\n"),
-        "no interim response: {}",
-        &text[..text.len().min(80)]
-    );
-    assert!(text.contains("HTTP/1.1 200 OK"), "no final response");
-    assert!(text.contains("user,trace,lat,lng,time"), "no CSV back");
-    server.shutdown();
+    for target in TARGETS {
+        let server = start_on(target, |_| {});
+        let mut request = format!(
+            "POST /v1/anonymize?mechanism=raw&seed=1 HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
+             expect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+            csv.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(&csv);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(&request).unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        let text = String::from_utf8_lossy(&raw);
+        assert!(
+            text.starts_with("HTTP/1.1 100 Continue\r\n\r\n"),
+            "{target:?}: no interim response: {}",
+            &text[..text.len().min(80)]
+        );
+        assert!(
+            text.contains("HTTP/1.1 200 OK"),
+            "{target:?}: no final response"
+        );
+        assert!(
+            text.contains("user,trace,lat,lng,time"),
+            "{target:?}: no CSV back"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -588,44 +665,88 @@ fn keep_alive_reuses_one_socket_and_stays_byte_identical() {
 
 #[test]
 fn connection_close_is_honoured_with_a_close_response_and_eof() {
-    let server = start(|_| {});
-    let addr = server.addr();
-    let mut stream = connect_keep_alive(addr);
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let (status, headers, body) = read_framed(&mut stream);
-    assert_eq!((status, body.as_slice()), (200, &b"ready\n"[..]));
-    assert_eq!(headers["connection"], "close");
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).expect("clean EOF");
-    assert!(rest.is_empty(), "bytes after a close response: {rest:?}");
-    server.shutdown();
+    for target in TARGETS {
+        let server = start_on(target, |_| {});
+        let mut stream = connect_keep_alive(server.addr());
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        let (status, headers, body) = read_framed(&mut stream);
+        assert_eq!(
+            (status, body.as_slice()),
+            (200, &b"ready\n"[..]),
+            "{target:?}"
+        );
+        assert_eq!(headers["connection"], "close", "{target:?}");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean EOF");
+        assert!(
+            rest.is_empty(),
+            "{target:?}: bytes after a close response: {rest:?}"
+        );
+        server.shutdown();
+    }
+}
+
+#[test]
+fn an_error_response_closes_a_keep_alive_connection() {
+    for target in TARGETS {
+        let server = start_on(target, |_| {});
+        let mut stream = connect_keep_alive(server.addr());
+        // The client asks to keep the connection; the 404 closes it
+        // anyway, so an error can never desync what follows.
+        stream
+            .write_all(b"GET /v2/psychic-anonymizer HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        let (status, headers, _) = read_framed(&mut stream);
+        assert_eq!(status, 404, "{target:?}");
+        assert_eq!(headers["connection"], "close", "{target:?}");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean EOF");
+        assert!(
+            rest.is_empty(),
+            "{target:?}: bytes after an error: {rest:?}"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
 fn idle_deadline_reclaims_parked_connections() {
-    let server = start(|config| config.idle_timeout = Duration::from_millis(200));
-    let addr = server.addr();
-    let mut stream = connect_keep_alive(addr);
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
-        .unwrap();
-    let (status, headers, _) = read_framed(&mut stream);
-    assert_eq!(status, 200);
-    assert_eq!(headers["connection"], "keep-alive");
-    // Park without sending another request: the server must close the
-    // socket cleanly (EOF, no error bytes) once the idle deadline fires.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).expect("clean EOF on idle");
-    assert!(rest.is_empty(), "bytes after idle close: {rest:?}");
-    // The worker is free again: a fresh connection is served promptly.
-    let (status, _, body) = get(addr, "/healthz");
-    assert_eq!((status, body.as_slice()), (200, &b"ready\n"[..]));
-    server.shutdown();
+    for target in TARGETS {
+        let server = start_on(target, |config| {
+            config.idle_timeout = Duration::from_millis(200);
+        });
+        let addr = server.addr();
+        let mut stream = connect_keep_alive(addr);
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        let (status, headers, _) = read_framed(&mut stream);
+        assert_eq!(status, 200, "{target:?}");
+        assert_eq!(headers["connection"], "keep-alive", "{target:?}");
+        // Park without sending another request: the server must close
+        // the socket cleanly (EOF, no error bytes) once the idle
+        // deadline fires.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean EOF on idle");
+        assert!(
+            rest.is_empty(),
+            "{target:?}: bytes after idle close: {rest:?}"
+        );
+        // The worker is free again: a fresh connection is served
+        // promptly.
+        let (status, _, body) = get(addr, "/healthz");
+        assert_eq!(
+            (status, body.as_slice()),
+            (200, &b"ready\n"[..]),
+            "{target:?}"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -684,43 +805,55 @@ fn keep_alive_idle_time_is_not_charged_to_the_next_request() {
 
 #[test]
 fn max_requests_per_conn_caps_a_connection_with_a_close_response() {
-    let server = start(|config| config.max_requests_per_conn = 2);
-    let addr = server.addr();
-    let mut stream = connect_keep_alive(addr);
-    for expected in ["keep-alive", "close"] {
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
-            .unwrap();
-        let (status, headers, _) = read_framed(&mut stream);
-        assert_eq!(status, 200);
-        assert_eq!(headers["connection"], expected);
+    for target in TARGETS {
+        let server = start_on(target, |config| config.max_requests_per_conn = 2);
+        let mut stream = connect_keep_alive(server.addr());
+        for expected in ["keep-alive", "close"] {
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+                .unwrap();
+            let (status, headers, _) = read_framed(&mut stream);
+            assert_eq!(status, 200, "{target:?}");
+            assert_eq!(headers["connection"], expected, "{target:?}");
+        }
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean EOF at the cap");
+        assert!(
+            rest.is_empty(),
+            "{target:?}: bytes after the request cap: {rest:?}"
+        );
+        server.shutdown();
     }
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).expect("clean EOF at the cap");
-    assert!(rest.is_empty(), "bytes after the request cap: {rest:?}");
-    server.shutdown();
 }
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = start(|_| {});
-    let addr = server.addr();
-    let mut stream = connect_keep_alive(addr);
-    // Both requests land in the connection's buffer before the first
-    // response is written; the persistent reader must not drop the
-    // second one between requests.
-    stream
-        .write_all(
-            b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n\
-              GET /v1/mechanisms HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-        )
-        .unwrap();
-    let (status, headers, body) = read_framed(&mut stream);
-    assert_eq!((status, body.as_slice()), (200, &b"ready\n"[..]));
-    assert_eq!(headers["connection"], "keep-alive");
-    let (status, headers, body) = read_framed(&mut stream);
-    assert_eq!(status, 200);
-    assert_eq!(headers["connection"], "close");
-    assert!(String::from_utf8(body).unwrap().contains("promesse"));
-    server.shutdown();
+    for target in TARGETS {
+        let server = start_on(target, |_| {});
+        let mut stream = connect_keep_alive(server.addr());
+        // Both requests land in the connection's buffer before the
+        // first response is written; the persistent reader must not
+        // drop the second one between requests.
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n\
+                  GET /v1/mechanisms HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let (status, headers, body) = read_framed(&mut stream);
+        assert_eq!(
+            (status, body.as_slice()),
+            (200, &b"ready\n"[..]),
+            "{target:?}"
+        );
+        assert_eq!(headers["connection"], "keep-alive", "{target:?}");
+        let (status, headers, body) = read_framed(&mut stream);
+        assert_eq!(status, 200, "{target:?}");
+        assert_eq!(headers["connection"], "close", "{target:?}");
+        assert!(
+            String::from_utf8(body).unwrap().contains("promesse"),
+            "{target:?}"
+        );
+        server.shutdown();
+    }
 }

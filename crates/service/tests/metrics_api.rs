@@ -143,3 +143,26 @@ fn stats_embeds_the_registry_and_stays_json() {
     assert!(text.contains("\"mobipriv_cache_misses_total\":1"), "{text}");
     server.shutdown();
 }
+
+#[test]
+fn queue_depth_never_reads_negative_on_fresh_connections() {
+    // Each scrape arrives on a fresh connection, so the acceptor's
+    // `+1` and the worker's `-1` for that very connection race the
+    // render. Counting before the hand-off keeps the gauge at >= 0.
+    let server = start();
+    let addr = server.addr();
+    for i in 0..300 {
+        let (status, _, body) = request_full(addr, "GET", "/metrics", b"").unwrap();
+        assert_eq!(status, 200);
+        let parsed = scrape::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let depth = parsed.value("mobipriv_http_queue_depth", &[]).unwrap();
+        assert!(depth >= 0.0, "scrape {i}: queue depth {depth}");
+    }
+    let (_, _, body) = request_full(addr, "GET", "/metrics", b"").unwrap();
+    let parsed = scrape::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert!(
+        parsed.value("mobipriv_http_queue_depth_peak", &[]) >= Some(1.0),
+        "every queued connection reaches the high-water mark"
+    );
+    server.shutdown();
+}

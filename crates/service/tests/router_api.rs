@@ -225,3 +225,84 @@ fn bounded_upstream_pool_serves_more_clients_than_connections() {
         }
     });
 }
+
+#[test]
+fn router_stats_are_the_sum_of_the_shards() {
+    let cluster = Cluster::boot(2, |_| {});
+    let addr = cluster.router_addr();
+    // Publish until both shards own data (bounded: placement is
+    // ~uniform over 2 shards), computing each result twice (a miss,
+    // then a hit) and running one job per dataset to `done`.
+    let mut owners = Vec::new();
+    for rows in 8..40 {
+        let (digest, owner) = cluster.register(&workload(rows));
+        for _ in 0..2 {
+            let target = format!("/v1/anonymize?mechanism=raw&dataset={digest}");
+            let (status, _) = client::request(addr, "POST", &target, b"").expect("anonymize");
+            assert_eq!(status, 200);
+        }
+        let target = format!("/v1/jobs?dataset={digest}&mechanism=promesse&alpha=100");
+        let (status, body) = client::request(addr, "POST", &target, b"").expect("submit");
+        assert!(status == 200 || status == 202, "submit answered {status}");
+        let id = client::json_str_field(&body, "id").expect("job id");
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        loop {
+            let (_, body) =
+                client::request(addr, "GET", &format!("/v1/jobs/{id}"), b"").expect("poll");
+            match client::json_str_field(&body, "status").as_deref() {
+                Some("done") => break,
+                Some("failed") => panic!("job failed: {}", String::from_utf8_lossy(&body)),
+                _ if std::time::Instant::now() > deadline => panic!("job never finished"),
+                _ => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        if !owners.contains(&owner) {
+            owners.push(owner);
+        }
+        if owners.len() == 2 && rows >= 11 {
+            break;
+        }
+    }
+    assert_eq!(owners.len(), 2, "every dataset landed on one shard");
+
+    let stats = |addr: &str| {
+        let (status, body) = client::request(addr, "GET", "/v1/stats", b"").expect("stats");
+        assert_eq!(status, 200, "{addr}");
+        mobipriv_eval::Json::parse(std::str::from_utf8(&body).unwrap()).expect("stats JSON")
+    };
+    let routed = stats(&addr.to_string());
+    let shards: Vec<_> = cluster.names.iter().map(|name| stats(name)).collect();
+    for path in [
+        &["computations"][..],
+        &["cache_hits"],
+        &["cache_misses"],
+        &["datasets", "count"],
+        &["jobs", "done"],
+    ] {
+        let read = |doc: &mobipriv_eval::Json| {
+            path.iter()
+                .try_fold(doc, |doc, key| doc.get(key))
+                .and_then(mobipriv_eval::Json::as_u64)
+                .unwrap_or_else(|| panic!("missing {path:?}"))
+        };
+        let per_shard: Vec<u64> = shards.iter().map(read).collect();
+        assert!(per_shard.iter().any(|&n| n > 0), "{path:?} is all zero");
+        assert_eq!(
+            read(&routed),
+            per_shard.iter().sum::<u64>(),
+            "{path:?}: router vs shards {per_shard:?}"
+        );
+    }
+
+    // A routed response carries the owning shard's trace id and no
+    // second one of the router's.
+    let (digest, _) = cluster.register(&workload(8));
+    let target = format!("/v1/datasets/{digest}");
+    let (status, headers, _) = client::request_full(addr, "GET", &target, b"").expect("meta");
+    assert_eq!(status, 200);
+    let traces = headers
+        .iter()
+        .filter(|(name, _)| name == "x-mobipriv-trace")
+        .count();
+    assert_eq!(traces, 1, "{headers:?}");
+}
