@@ -54,6 +54,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
+use mobipriv_model::digest::mix64;
 use mobipriv_model::{Dataset, Trace, UserId};
 
 use crate::Mechanism;
@@ -180,14 +181,6 @@ pub struct TraceCtx {
     pub experiment_seed: u64,
     /// Index of the trace in the input dataset.
     pub trace_index: usize,
-}
-
-/// SplitMix64 finalizer: a bijective avalanche on `u64`.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The seed of the RNG stream trace `trace_index` (belonging to `user`)

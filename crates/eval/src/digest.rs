@@ -8,26 +8,15 @@
 
 pub use mobipriv_model::digest::{dataset_digest, digest_hex, fnv1a64};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use mobipriv_model::digest::mix64;
 
 /// The RNG seed of one evaluation cell, derived from the plan seed and
 /// the cell's *names* rather than its position: filtering or reordering
 /// the plan never changes what any surviving cell computes.
 pub fn cell_seed(plan_seed: u64, scenario: &str, mechanism: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for chunk in [scenario.as_bytes(), b"\x00", mechanism.as_bytes()] {
-        for &b in chunk {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    // SplitMix64 finalizer so structurally similar names do not yield
-    // correlated seeds.
-    let mut z = hash ^ plan_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let name = [scenario.as_bytes(), b"\x00", mechanism.as_bytes()].concat();
+    // Mixed so structurally similar names do not yield correlated seeds.
+    mix64(fnv1a64(&name) ^ plan_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

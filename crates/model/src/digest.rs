@@ -18,7 +18,8 @@ use crate::{write_csv, Dataset};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice.
+/// FNV-1a over a byte slice — the one byte hash behind content
+/// digests, cell seeds, shard placement, chaos rolls and retry jitter.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
@@ -26,6 +27,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The SplitMix64 finalizer: a bijective, full-avalanche mix of a
+/// `u64`. Seeds and scores derived from structured inputs (FNV-1a's
+/// weak low bits, consecutive ids) go through it so near-identical
+/// inputs do not yield correlated outputs.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The canonical digest of a published dataset: FNV-1a over its CSV

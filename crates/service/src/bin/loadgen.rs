@@ -1,22 +1,24 @@
-//! `mobipriv-loadgen` — closed-loop load generator for
-//! `mobipriv-serve`: replays a synthetic city at a configurable request
-//! rate and reports throughput, latency percentiles and a per-status
-//! failure breakdown. The `--jobs` mode replays the paper's
-//! publish-once/query-many shape through the dataset registry and the
-//! async job engine, reporting cold-vs-warm latency and the cache hit
-//! rate. Run with `--help` for usage.
+//! `mobipriv-loadgen` — closed-loop load generator and soak harness for
+//! `mobipriv-serve`: replays a synthetic city from N client threads and
+//! reports throughput, latency percentiles, a per-status failure
+//! breakdown and the server's own `/metrics` delta. The `--jobs` mode
+//! replays the paper's publish-once/query-many shape through the
+//! dataset registry and the async job engine, reporting cold-vs-warm
+//! latency and the cache hit rate; `--chaos` soaks a chaos-armed server
+//! and checks its failure-domain invariants. The smoke scripts drive
+//! it; the repository's benchmark is `perfbench/`. Every request goes
+//! through one [`Leg`] over `client::Connection`. Run with `--help` for
+//! usage.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use mobipriv_model::{
-    read_bin, read_csv, read_ndjson, write_bin, write_csv, write_ndjson, Dataset, WireFormat,
-};
+use mobipriv_model::{write_bin, write_csv, write_ndjson, WireFormat};
 use mobipriv_obs::scrape::{parse as parse_scrape, Scrape};
-use mobipriv_service::client::{json_str_field, request, request_with_timeout, Connection};
+use mobipriv_service::client::{json_str_field, request_with_timeout, Connection};
 use mobipriv_service::telemetry::STAGES;
 use mobipriv_synth::scenarios;
 
@@ -24,9 +26,11 @@ const USAGE: &str = "\
 usage: mobipriv-loadgen [options]
 
 Generates a deterministic synthetic-city workload, POSTs it repeatedly
-to a running mobipriv-serve, and prints a throughput/latency summary
-with a per-status failure breakdown (exit status 1 if any request
-failed).
+to a running mobipriv-serve from closed-loop client threads, and prints
+a throughput/latency summary with a per-status failure breakdown (exit
+status 1 if any request failed). Latency under scheduled arrivals
+(open loop) is the benchmark's job: python3 perfbench/run.py
+--workload query.
 
 With --jobs the workload is registered once (POST /v1/datasets) and the
 requests become submit→poll→fetch cycles against the async job engine,
@@ -39,14 +43,7 @@ options:
   --addr HOST:PORT    server address (default 127.0.0.1:8645)
   --users N           synthetic-city size (default 1000)
   --requests N        total requests to issue (default 32)
-  --concurrency N     parallel client connections (default 8)
-  --rate R            target request rate in req/s across all clients
-                      (default 0 = as fast as the server answers)
-  --open-loop R       like --rate, but latency is measured from each
-                      request's *scheduled* arrival time (i/R), so
-                      server backlog shows up as latency instead of
-                      being hidden by slow clients (no coordinated
-                      omission)
+  --concurrency N     parallel client threads (default 8)
   --keep-alive        one persistent HTTP/1.1 connection per client
                       thread instead of a fresh TCP connection per
                       request; the summary reports the achieved
@@ -57,16 +54,15 @@ options:
   --format FMT        wire format for bodies: csv|ndjson|bin (default
                       csv). One-shot requests upload and download in
                       this format; --jobs mode registers the dataset
-                      with it. Also prints the client-side parse and
-                      serialize throughput of the chosen format.
+                      with it.
   --jobs              register-once/publish-many mode (see above)
   --distinct N        distinct job keys the --jobs mode cycles through
                       (default 4)
   --dump-workload     print the workload in the chosen --format to
                       stdout and exit (used by the CI smoke script)
-  --timeout SECS      per-read client timeout (default 60); a request
-                      idle past it counts as a failure instead of
-                      hanging the run
+  --timeout SECS      per-read client timeout and job poll deadline
+                      (default 60); a request idle past it counts as a
+                      failure instead of hanging the run
   --chaos             resilience soak against a chaos-armed server
                       (`mobipriv-serve --chaos …`): issues --requests
                       mixed one-shot/job/deadline-probe requests and
@@ -78,13 +74,14 @@ options:
   -h, --help          print this help
 ";
 
+/// How often a job cycle polls a pending job.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
 struct Options {
     addr: String,
     users: usize,
     requests: usize,
     concurrency: usize,
-    rate: f64,
-    open_loop: bool,
     keep_alive: bool,
     mechanism: String,
     query: String,
@@ -104,8 +101,6 @@ impl Default for Options {
             users: 1_000,
             requests: 32,
             concurrency: 8,
-            rate: 0.0,
-            open_loop: false,
             keep_alive: false,
             mechanism: "promesse".to_owned(),
             query: String::new(),
@@ -120,138 +115,287 @@ impl Default for Options {
     }
 }
 
+impl Options {
+    /// The seed of request `i`'s key: --distinct keys counting up from
+    /// --seed.
+    fn key_seed(&self, i: usize) -> u64 {
+        self.seed.wrapping_add((i % self.distinct) as u64)
+    }
+
+    /// The target for `seed`: a job submission against the registered
+    /// `dataset`, else a one-shot anonymize in --format; --query
+    /// appended either way.
+    fn target(&self, dataset: Option<&str>, seed: u64) -> String {
+        let mechanism = &self.mechanism;
+        let mut target = match dataset {
+            Some(digest) => format!("/v1/jobs?dataset={digest}&mechanism={mechanism}&seed={seed}"),
+            None => format!(
+                "/v1/anonymize?mechanism={mechanism}&seed={seed}&format={}",
+                self.format.name()
+            ),
+        };
+        if !self.query.is_empty() {
+            target.push('&');
+            target.push_str(&self.query);
+        }
+        target
+    }
+}
+
 fn fail(message: &str) -> ! {
     eprintln!("{message}\n\n{USAGE}");
     std::process::exit(2);
 }
 
+fn positive(arg: &str, value: &str) -> usize {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => fail(&format!("{arg} expects a positive integer")),
+    }
+}
+
 fn parse_args(args: &[String]) -> Options {
     let mut opts = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: usize| -> &str {
-            match args.get(i + 1) {
-                Some(v) => v.as_str(),
-                None => fail(&format!("{arg} expects a value")),
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let arg = arg.as_str();
+        let mut value = || match args.next() {
+            Some(v) => v.as_str(),
+            None => fail(&format!("{arg} expects a value")),
         };
-        let mut consumed = 2;
         match arg {
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            "--addr" => opts.addr = value(i).to_owned(),
-            "--users" => match value(i).parse() {
-                Ok(n) if n > 0 => opts.users = n,
-                _ => fail("--users expects a positive integer"),
-            },
-            "--requests" => match value(i).parse() {
-                Ok(n) if n > 0 => opts.requests = n,
-                _ => fail("--requests expects a positive integer"),
-            },
-            "--concurrency" => match value(i).parse() {
-                Ok(n) if n > 0 => opts.concurrency = n,
-                _ => fail("--concurrency expects a positive integer"),
-            },
-            "--rate" => match value(i).parse() {
-                Ok(r) if r >= 0.0 => opts.rate = r,
-                _ => fail("--rate expects a non-negative number"),
-            },
-            "--open-loop" => match value(i).parse() {
-                Ok(r) if r > 0.0 => {
-                    opts.rate = r;
-                    opts.open_loop = true;
-                }
-                _ => fail("--open-loop expects a positive request rate"),
-            },
-            "--keep-alive" => {
-                opts.keep_alive = true;
-                consumed = 1;
-            }
-            "--mechanism" => opts.mechanism = value(i).to_owned(),
-            "--query" => opts.query = value(i).to_owned(),
-            "--seed" => match value(i).parse() {
+            "--addr" => opts.addr = value().to_owned(),
+            "--users" => opts.users = positive(arg, value()),
+            "--requests" => opts.requests = positive(arg, value()),
+            "--concurrency" => opts.concurrency = positive(arg, value()),
+            "--keep-alive" => opts.keep_alive = true,
+            "--mechanism" => opts.mechanism = value().to_owned(),
+            "--query" => opts.query = value().to_owned(),
+            "--seed" => match value().parse() {
                 Ok(n) => opts.seed = n,
                 _ => fail("--seed expects an integer"),
             },
             "--format" => {
-                opts.format = match value(i) {
+                opts.format = match value() {
                     "csv" => WireFormat::Csv,
                     "ndjson" => WireFormat::NdJson,
                     "bin" => WireFormat::Bin,
                     _ => fail("--format expects csv|ndjson|bin"),
                 }
             }
-            "--jobs" => {
-                opts.jobs = true;
-                consumed = 1;
-            }
-            "--distinct" => match value(i).parse() {
-                Ok(n) if n > 0 => opts.distinct = n,
-                _ => fail("--distinct expects a positive integer"),
-            },
-            "--dump-workload" => {
-                opts.dump = true;
-                consumed = 1;
-            }
-            "--timeout" => match value(i).parse::<u64>() {
-                Ok(n) if n > 0 => opts.timeout = Duration::from_secs(n),
-                _ => fail("--timeout expects a positive integer (seconds)"),
-            },
-            "--chaos" => {
-                opts.chaos = true;
-                consumed = 1;
-            }
+            "--jobs" => opts.jobs = true,
+            "--distinct" => opts.distinct = positive(arg, value()),
+            "--dump-workload" => opts.dump = true,
+            "--timeout" => opts.timeout = Duration::from_secs(positive(arg, value()) as u64),
+            "--chaos" => opts.chaos = true,
             other => fail(&format!("unexpected argument: {other}")),
         }
-        i += consumed;
     }
     opts
 }
 
-/// The transport one client thread issues requests over: a fresh TCP
-/// connection per request (the historical behavior, `Connection:
-/// close`) or one persistent keep-alive [`Connection`] reused for the
-/// thread's whole run.
-struct ClientLeg {
-    addr: String,
+/// The one way loadgen talks to the server: a fresh connection per
+/// request (`Connection: close`), or with --keep-alive one persistent
+/// [`Connection`] for the leg's lifetime. Every read is bounded by
+/// --timeout.
+struct Leg<'a> {
+    opts: &'a Options,
     conn: Option<Connection>,
-    keep_alive: bool,
-    timeout: Duration,
 }
 
-impl ClientLeg {
-    fn new(addr: &str, keep_alive: bool, timeout: Duration) -> ClientLeg {
-        ClientLeg {
-            addr: addr.to_owned(),
-            conn: None,
-            keep_alive,
-            timeout,
-        }
+impl<'a> Leg<'a> {
+    fn new(opts: &'a Options) -> Leg<'a> {
+        Leg { opts, conn: None }
     }
 
     fn send(&mut self, method: &str, target: &str, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
-        if !self.keep_alive {
-            return request_with_timeout(&self.addr, method, target, body, self.timeout);
+        let (addr, timeout) = (self.opts.addr.as_str(), self.opts.timeout);
+        if !self.opts.keep_alive {
+            return request_with_timeout(addr, method, target, body, timeout);
         }
-        if self.conn.is_none() {
-            // The Connection survives request failures (it redials on
-            // the next call), so one object carries the whole thread's
-            // reuse accounting.
-            self.conn = Some(Connection::connect(self.addr.as_str(), self.timeout)?);
-        }
-        let conn = self.conn.as_mut().expect("connected above");
+        // The Connection survives request failures (it redials on the
+        // next call), so one object carries the leg's reuse accounting.
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
+            slot => slot.insert(Connection::connect(addr, timeout)?),
+        };
         conn.request(method, target, body)
             .map(|(status, _, body)| (status, body))
     }
 
-    /// `(requests completed, TCP connections dialed)` over this leg.
-    fn counts(&self) -> (u64, u64) {
-        self.conn
-            .as_ref()
-            .map_or((0, 0), |c| (c.requests(), c.connects()))
+    /// [`Leg::send`] as `step` of an operation; a read timeout is a hang.
+    fn step(
+        &mut self,
+        step: Step,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> Result<(u16, Vec<u8>), Miss> {
+        self.send(method, target, body).map_err(|e| match e.kind() {
+            ErrorKind::TimedOut | ErrorKind::WouldBlock => Miss::Io(step, "hung".to_owned()),
+            _ => Miss::Io(step, e.to_string()),
+        })
+    }
+}
+
+/// Sends requests `from..--requests` from --concurrency client
+/// threads, each over its own [`Leg`]: `work(leg, i, acc)` sends
+/// request `i` and books it in the thread's accumulator. Returns every
+/// thread's accumulator with its leg.
+fn pool<'a, T: Default + Send>(
+    opts: &'a Options,
+    from: usize,
+    work: impl Fn(&mut Leg<'a>, usize, &mut T) + Sync,
+) -> Vec<(T, Leg<'a>)> {
+    let next = AtomicUsize::new(from);
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..opts.concurrency)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut leg, mut acc) = (Leg::new(opts), T::default());
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= opts.requests {
+                            break (acc, leg);
+                        }
+                        work(&mut leg, i, &mut acc);
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("client thread panicked"))
+            .collect()
+    })
+}
+
+/// Registers the workload once, in --format (the digest is
+/// format-independent), and returns its digest; exits 2 when the server
+/// cannot be reached or refuses.
+fn register(leg: &mut Leg<'_>, body: &[u8]) -> String {
+    let target = format!("/v1/datasets?format={}", leg.opts.format.name());
+    match leg.send("POST", &target, body) {
+        Ok((200, response)) => json_str_field(&response, "digest")
+            .unwrap_or_else(|| fail("registration response carries no digest")),
+        Ok((status, _)) => fail(&format!("dataset registration answered HTTP {status}")),
+        Err(e) => fail(&format!("cannot reach {}: {e}", leg.opts.addr)),
+    }
+}
+
+/// Which latency bucket a fetched result lands in.
+enum Bucket {
+    /// A one-shot request, or a job that waited on a fresh computation.
+    Cold,
+    /// A job the cache answered at submission.
+    Warm,
+    /// A job coalesced onto one already in flight.
+    Coalesced,
+}
+
+/// The step of an operation a [`Miss`] happened at.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// A one-shot `POST /v1/anonymize`.
+    Post,
+    Submit,
+    Poll,
+    Fetch,
+}
+
+/// Why an operation (a one-shot request or a job cycle) fetched no
+/// result.
+#[derive(Debug)]
+enum Miss {
+    /// The step answered this HTTP status (0: a submission without a
+    /// job id).
+    Status(Step, u16),
+    /// The job ended `failed` (retries exhausted, quarantined).
+    Failed,
+    /// Transport failure, or a job still pending at the poll deadline.
+    Io(Step, String),
+}
+
+impl Miss {
+    /// Whether a chaos-armed server may legitimately end an operation
+    /// this way: a one-shot answered with the client-timeout close, the
+    /// transient/injected failure, the degraded shed or the tripped
+    /// compute deadline; a job submission shed; a result evicted or
+    /// shed; a job quarantined. Anything else (or a hang) is an
+    /// invariant violation.
+    fn well_formed(&self) -> bool {
+        matches!(
+            self,
+            Miss::Status(Step::Post, 408 | 500 | 503 | 504)
+                | Miss::Status(Step::Submit, 503)
+                | Miss::Status(Step::Fetch, 404 | 503)
+                | Miss::Failed
+        )
+    }
+}
+
+impl std::fmt::Display for Miss {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Miss::Status(step, status) => write!(f, "{step:?} answered HTTP {status}"),
+            Miss::Failed => f.write_str("job failed"),
+            Miss::Io(step, error) => write!(f, "{step:?}: {error}"),
+        }
+    }
+}
+
+type Outcome = Result<(Bucket, Vec<u8>), Miss>;
+
+/// One one-shot `POST` of `body` to `target`.
+fn post(leg: &mut Leg<'_>, target: &str, body: &[u8]) -> Outcome {
+    match leg.step(Step::Post, "POST", target, body)? {
+        (200, response) => Ok((Bucket::Cold, response)),
+        (status, _) => Err(Miss::Status(Step::Post, status)),
+    }
+}
+
+/// One submit→poll→fetch cycle against the job engine. Polling gives
+/// up at --timeout; a shed (`503`) poll polls again.
+fn job_cycle(leg: &mut Leg<'_>, target: &str) -> Outcome {
+    let (status, body) = leg.step(Step::Submit, "POST", target, b"")?;
+    if status != 200 && status != 202 {
+        return Err(Miss::Status(Step::Submit, status));
+    }
+    let id = json_str_field(&body, "id").ok_or(Miss::Status(Step::Submit, 0))?;
+    let mut job_status = json_str_field(&body, "status").unwrap_or_default();
+    // Done at submission time = the cache answered; no computation was
+    // waited on, whether the record was fresh ("cached") or an old done
+    // job coalesced onto ("coalesced").
+    let bucket = match json_str_field(&body, "submitted").as_deref() {
+        _ if job_status == "done" => Bucket::Warm,
+        Some("enqueued") => Bucket::Cold,
+        _ => Bucket::Coalesced,
+    };
+    let (poll, deadline) = (format!("/v1/jobs/{id}"), Instant::now() + leg.opts.timeout);
+    while job_status != "done" {
+        if job_status == "failed" {
+            return Err(Miss::Failed);
+        }
+        if Instant::now() > deadline {
+            return Err(Miss::Io(
+                Step::Poll,
+                format!("job {id} stuck `{job_status}`"),
+            ));
+        }
+        std::thread::sleep(POLL_INTERVAL);
+        match leg.step(Step::Poll, "GET", &poll, b"")? {
+            (200, body) => job_status = json_str_field(&body, "status").unwrap_or_default(),
+            (503, _) => {} // shed under load — poll again
+            (status, _) => return Err(Miss::Status(Step::Poll, status)),
+        }
+    }
+    match leg.step(Step::Fetch, "GET", &format!("/v1/results/{id}"), b"")? {
+        (200, result) => Ok((bucket, result)),
+        (status, _) => Err(Miss::Status(Step::Fetch, status)),
     }
 }
 
@@ -264,9 +408,10 @@ struct Tally {
     warm: Vec<Duration>,
     /// Coalesced-onto-an-in-flight-job latencies; --jobs mode only.
     coalesced: Vec<Duration>,
-    /// Transport failures (connect/read errors).
+    /// Transport failures (connect/read errors, stuck jobs).
     io_errors: usize,
-    /// Non-2xx responses by status code.
+    /// Non-2xx responses by status code (0: no job id; 500: a job
+    /// that ended `failed`).
     by_status: BTreeMap<u16, usize>,
     bytes_in: usize,
     /// Requests completed over keep-alive connections (reuse-rate
@@ -281,14 +426,36 @@ impl Tally {
         self.io_errors + self.by_status.values().sum::<usize>()
     }
 
-    fn merge(&mut self, other: Tally) {
+    /// Runs and books one operation.
+    fn time(&mut self, op: impl FnOnce() -> Outcome) {
+        let sent = Instant::now();
+        let outcome = op();
+        let latency = sent.elapsed();
+        match outcome {
+            Ok((bucket, body)) => {
+                self.bytes_in += body.len();
+                match bucket {
+                    Bucket::Cold => self.cold.push(latency),
+                    Bucket::Warm => self.warm.push(latency),
+                    Bucket::Coalesced => self.coalesced.push(latency),
+                }
+            }
+            Err(Miss::Io(..)) => self.io_errors += 1,
+            Err(Miss::Status(_, status)) => *self.by_status.entry(status).or_default() += 1,
+            Err(Miss::Failed) => *self.by_status.entry(500).or_default() += 1,
+        }
+    }
+
+    fn merge(&mut self, other: Tally, leg: &Leg<'_>) {
         self.cold.extend(other.cold);
         self.warm.extend(other.warm);
         self.coalesced.extend(other.coalesced);
         self.io_errors += other.io_errors;
         self.bytes_in += other.bytes_in;
-        self.conn_requests += other.conn_requests;
-        self.conn_dialed += other.conn_dialed;
+        if let Some(conn) = &leg.conn {
+            self.conn_requests += conn.requests();
+            self.conn_dialed += conn.connects();
+        }
         for (status, n) in other.by_status {
             *self.by_status.entry(status).or_default() += n;
         }
@@ -329,25 +496,18 @@ fn latency_line(label: &str, latencies: &mut [Duration]) {
 /// transport, non-200, or a malformed exposition — aborts the run with
 /// exit 1: a server whose metrics endpoint is broken fails the load
 /// test even if every request succeeded.
-fn scrape_metrics(addr: &str) -> Scrape {
-    let scrape_failed = |message: &str| -> ! {
+fn scrape_metrics(leg: &mut Leg<'_>) -> Scrape {
+    let scraped = match leg.send("GET", "/metrics", b"") {
+        Ok((200, body)) => String::from_utf8(body)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_scrape(&text)),
+        Ok((status, _)) => Err(format!("HTTP {status}")),
+        Err(e) => Err(e.to_string()),
+    };
+    scraped.unwrap_or_else(|message| {
         eprintln!("scraping /metrics: {message}");
-        std::process::exit(1);
-    };
-    let (status, body) = match request(addr, "GET", "/metrics", b"") {
-        Ok(r) => r,
-        Err(e) => scrape_failed(&e.to_string()),
-    };
-    if status != 200 {
-        scrape_failed(&format!("HTTP {status}"));
-    }
-    match std::str::from_utf8(&body)
-        .map_err(|e| e.to_string())
-        .and_then(parse_scrape)
-    {
-        Ok(scrape) => scrape,
-        Err(e) => scrape_failed(&e),
-    }
+        std::process::exit(1)
+    })
 }
 
 /// Prints what the *server* observed over the run — the before/after
@@ -386,19 +546,15 @@ fn print_server_delta(before: &Scrape, after: &Scrape) {
         .filter_map(|&stage| {
             // Quantiles over the run's window only (bucket deltas); the
             // value is the bucket's upper bound, hence the ≤.
-            let p50 = after.histogram_quantile(
-                "mobipriv_stage_seconds",
-                &[("stage", stage)],
-                0.50,
-                Some(before),
-            )?;
-            let p99 = after.histogram_quantile(
-                "mobipriv_stage_seconds",
-                &[("stage", stage)],
-                0.99,
-                Some(before),
-            )?;
-            Some(format!("{stage} p50≤{:.1} p99≤{:.1}", p50 * 1e3, p99 * 1e3))
+            let ms = |q| {
+                let labels = [("stage", stage)];
+                after.histogram_quantile("mobipriv_stage_seconds", &labels, q, Some(before))
+            };
+            Some(format!(
+                "{stage} p50≤{:.1} p99≤{:.1}",
+                ms(0.50)? * 1e3,
+                ms(0.99)? * 1e3
+            ))
         })
         .collect();
     if !stage_parts.is_empty() {
@@ -408,6 +564,7 @@ fn print_server_delta(before: &Scrape, after: &Scrape) {
 
 /// Shared state of the chaos soak: per-key reference bodies and the
 /// invariant-violation log.
+#[derive(Default)]
 struct SoakState {
     /// First successful body per (seed, job?) key — every later 200 for
     /// the same key must be byte-identical (the determinism invariant
@@ -448,209 +605,82 @@ impl SoakState {
             }
         }
     }
-}
 
-/// Statuses a chaos-armed server may legitimately answer: success, the
-/// client-timeout close, the transient/injected failure, the degraded
-/// shed, and the tripped compute deadline. Anything else (or a hang) is
-/// an invariant violation.
-fn well_formed(status: u16) -> bool {
-    matches!(status, 200 | 408 | 500 | 503 | 504)
-}
-
-/// One soak one-shot request: issue, classify, check invariants.
-fn soak_request(
-    addr: &str,
-    target: &str,
-    body: &[u8],
-    seed: u64,
-    timeout: Duration,
-    soak: &SoakState,
-) {
-    match request_with_timeout(addr, "POST", target, body, timeout) {
-        Ok((200, response)) => {
-            soak.check_body((seed, false), &response, target);
-            soak.ok.fetch_add(1, Ordering::Relaxed);
+    /// Books one storm operation for `key`: a result must match the
+    /// key's baseline, a miss must be well-formed.
+    fn classify(&self, outcome: Outcome, key: (u64, bool), target: &str) {
+        match outcome {
+            Ok((_, body)) => {
+                self.check_body(key, &body, target);
+                self.ok.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(miss) if miss.well_formed() => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(miss) => self.violate(format!("{target}: {miss}")),
         }
-        Ok((status, _)) if well_formed(status) => {
-            soak.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((status, _)) => soak.violate(format!("unexpected HTTP {status} from {target}")),
-        Err(e)
-            if e.kind() == std::io::ErrorKind::TimedOut
-                || e.kind() == std::io::ErrorKind::WouldBlock =>
-        {
-            soak.violate(format!("request hung past {timeout:?}: {target}"))
-        }
-        Err(e) => soak.violate(format!("transport error on {target}: {e}")),
-    }
-}
-
-/// One soak job cycle: submit → poll to a terminal state → fetch.
-/// `failed` (quarantine) is a well-formed outcome; a job that never
-/// reaches a terminal state is a violation.
-fn soak_job(addr: &str, target: &str, seed: u64, timeout: Duration, soak: &SoakState) {
-    let (status, body) = match request_with_timeout(addr, "POST", target, b"", timeout) {
-        Ok(r) => r,
-        Err(e) => return soak.violate(format!("transport error on {target}: {e}")),
-    };
-    if status == 503 {
-        soak.errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    if status != 200 && status != 202 {
-        return soak.violate(format!("unexpected HTTP {status} submitting {target}"));
-    }
-    let Some(id) = json_str_field(&body, "id") else {
-        return soak.violate(format!("submission response carries no id ({target})"));
-    };
-    let poll_deadline = Instant::now() + timeout;
-    let mut job_status = json_str_field(&body, "status").unwrap_or_default();
-    while job_status != "done" && job_status != "failed" {
-        if Instant::now() > poll_deadline {
-            return soak.violate(format!("job {id} stuck (last status `{job_status}`)"));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        match request_with_timeout(addr, "GET", &format!("/v1/jobs/{id}"), b"", timeout) {
-            Ok((200, body)) => job_status = json_str_field(&body, "status").unwrap_or_default(),
-            Ok((503, _)) => {} // shed under load — poll again
-            Ok((status, _)) => return soak.violate(format!("polling job {id}: HTTP {status}")),
-            Err(e) => return soak.violate(format!("polling job {id}: {e}")),
-        }
-    }
-    if job_status == "failed" {
-        soak.errors.fetch_add(1, Ordering::Relaxed); // quarantined — well-formed
-        return;
-    }
-    match request_with_timeout(addr, "GET", &format!("/v1/results/{id}"), b"", timeout) {
-        Ok((200, body)) => {
-            soak.check_body((seed, true), &body, target);
-            soak.ok.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((404, _)) | Ok((503, _)) => {
-            soak.errors.fetch_add(1, Ordering::Relaxed); // evicted / shed
-        }
-        Ok((status, _)) => soak.violate(format!("fetching result {id}: HTTP {status}")),
-        Err(e) => soak.violate(format!("fetching result {id}: {e}")),
     }
 }
 
 /// The `--chaos` soak: a storm of mixed requests against a chaos-armed
 /// server, then the recovery checks. Exits the process (0 = every
 /// invariant held).
-fn chaos_soak(opts: &Options, body: Vec<u8>) -> ! {
-    let timeout = opts.timeout;
-    let addr = opts.addr.clone();
+fn chaos_soak(opts: &Options, body: &[u8]) -> ! {
     println!(
         "chaos:    soak — {} mixed requests, concurrency {}, {} distinct keys, timeout {:?}",
-        opts.requests, opts.concurrency, opts.distinct, timeout
+        opts.requests, opts.concurrency, opts.distinct, opts.timeout
     );
     // Register the dataset once so job cycles can reference it.
-    let register_target = format!("/v1/datasets?format={}", opts.format.name());
-    let (status, response) =
-        match request_with_timeout(&addr, "POST", &register_target, &body, timeout) {
-            Ok(r) => r,
-            Err(e) => fail(&format!("cannot reach {addr}: {e}")),
-        };
-    if status != 200 {
-        fail(&format!("dataset registration answered HTTP {status}"));
-    }
-    let digest = json_str_field(&response, "digest")
-        .unwrap_or_else(|| fail("registration response carries no digest"));
-    let metrics_before = scrape_metrics(&addr);
-
-    let soak = Arc::new(SoakState {
-        baselines: Mutex::new(HashMap::new()),
-        violations: Mutex::new(Vec::new()),
-        ok: AtomicUsize::new(0),
-        errors: AtomicUsize::new(0),
-    });
-    let make_target = |i: usize| -> (String, u64, bool) {
-        let seed = opts.seed.wrapping_add((i % opts.distinct) as u64);
-        let is_job = i % 7 == 3;
-        let mut target = if is_job {
-            format!(
-                "/v1/jobs?dataset={digest}&mechanism={}&seed={seed}",
-                opts.mechanism
-            )
-        } else {
-            format!(
-                "/v1/anonymize?mechanism={}&seed={seed}&format={}",
-                opts.mechanism,
-                opts.format.name()
-            )
-        };
-        if !opts.query.is_empty() {
-            target.push('&');
-            target.push_str(&opts.query);
-        }
-        // Deadline probes: a zero compute budget trips deterministically
-        // (504) unless the cache already holds the key (200) — both
-        // legitimate, and the key must stay immediately recomputable.
-        if !is_job && i % 5 == 4 {
-            target.push_str("&timeout_ms=0");
-        }
-        (target, seed, is_job)
+    let (digest, metrics_before) = {
+        let mut leg = Leg::new(opts);
+        (register(&mut leg, body), scrape_metrics(&mut leg))
     };
 
-    let body = Arc::new(body);
-    let next = Arc::new(AtomicUsize::new(0));
+    let soak = SoakState::default();
     let started = Instant::now();
-    let mut clients = Vec::new();
-    for _ in 0..opts.concurrency {
-        let (body, soak, next) = (Arc::clone(&body), Arc::clone(&soak), Arc::clone(&next));
-        let (addr, requests) = (addr.clone(), opts.requests);
-        let targets: Vec<(String, u64, bool)> = (0..requests).map(make_target).collect();
-        clients.push(std::thread::spawn(move || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= requests {
-                break;
+    pool(opts, 0, |leg, i, _: &mut ()| {
+        let seed = opts.key_seed(i);
+        if i % 7 == 3 {
+            let target = opts.target(Some(&digest), seed);
+            soak.classify(job_cycle(leg, &target), (seed, true), &target);
+        } else {
+            let mut target = opts.target(None, seed);
+            // Deadline probes: a zero compute budget trips
+            // deterministically (504) unless the cache already holds the
+            // key (200) — both legitimate, and the key must stay
+            // immediately recomputable.
+            if i % 5 == 4 {
+                target.push_str("&timeout_ms=0");
             }
-            let (target, seed, is_job) = &targets[i];
-            if *is_job {
-                soak_job(&addr, target, *seed, timeout, &soak);
-            } else {
-                soak_request(&addr, target, &body, *seed, timeout, &soak);
-            }
-        }));
-    }
-    for client in clients {
-        client.join().expect("soak client panicked");
-    }
-    let storm = started.elapsed();
+            soak.classify(post(leg, &target, body), (seed, false), &target);
+        }
+    });
     println!(
         "storm:    {} ok, {} well-formed errors in {:.2} s",
         soak.ok.load(Ordering::Relaxed),
         soak.errors.load(Ordering::Relaxed),
-        storm.as_secs_f64()
+        started.elapsed().as_secs_f64()
     );
 
     // No stuck flights: every key must become computable again — errors
     // are still legitimate while chaos keeps injecting, so retry each
     // key until a 200 (which must match the baseline) or the deadline.
+    let mut leg = Leg::new(opts);
     for k in 0..opts.distinct {
-        let seed = opts.seed.wrapping_add(k as u64);
-        let target = format!(
-            "/v1/anonymize?mechanism={}&seed={seed}&format={}",
-            opts.mechanism,
-            opts.format.name()
-        );
-        let deadline = Instant::now() + timeout;
+        let seed = opts.key_seed(k);
+        let target = opts.target(None, seed);
+        let deadline = Instant::now() + opts.timeout;
         loop {
-            match request_with_timeout(&addr, "POST", &target, &body, timeout) {
-                Ok((200, response)) => {
+            match post(&mut leg, &target, body) {
+                Ok((_, response)) => {
                     soak.check_body((seed, false), &response, &target);
                     break;
                 }
-                Ok(_) | Err(_) if Instant::now() < deadline => {
+                Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(50));
                 }
-                Ok((status, _)) => {
-                    soak.violate(format!("key for seed {seed} stuck (last HTTP {status})"));
-                    break;
-                }
-                Err(e) => {
-                    soak.violate(format!("key for seed {seed} stuck ({e})"));
+                Err(miss) => {
+                    soak.violate(format!("key for seed {seed} stuck ({miss})"));
                     break;
                 }
             }
@@ -659,11 +689,10 @@ fn chaos_soak(opts: &Options, body: Vec<u8>) -> ! {
 
     // Breaker recovery: cold computes on fresh seeds eventually land a
     // successful half-open probe; the gauge must read closed again.
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + opts.timeout;
     let mut probe_seed = opts.seed.wrapping_add(1_000_000);
     let recovered = loop {
-        let scrape = scrape_metrics(&addr);
-        match scrape.value("mobipriv_breaker_state", &[]) {
+        match scrape_metrics(&mut leg).value("mobipriv_breaker_state", &[]) {
             Some(0.0) => break true,
             None => {
                 soak.violate("mobipriv_breaker_state missing from /metrics".to_owned());
@@ -671,12 +700,7 @@ fn chaos_soak(opts: &Options, body: Vec<u8>) -> ! {
             }
             Some(_) if Instant::now() > deadline => break false,
             Some(_) => {
-                let target = format!(
-                    "/v1/anonymize?mechanism={}&seed={probe_seed}&format={}",
-                    opts.mechanism,
-                    opts.format.name()
-                );
-                let _ = request_with_timeout(&addr, "POST", &target, &body, timeout);
+                let _ = post(&mut leg, &opts.target(None, probe_seed), body);
                 probe_seed = probe_seed.wrapping_add(1);
                 std::thread::sleep(Duration::from_millis(100));
             }
@@ -688,7 +712,7 @@ fn chaos_soak(opts: &Options, body: Vec<u8>) -> ! {
 
     // The chaos/resilience counters must exist — and chaos must have
     // actually bitten, or the soak proved nothing.
-    let metrics_after = scrape_metrics(&addr);
+    let metrics_after = scrape_metrics(&mut leg);
     let injected = metrics_after.total("mobipriv_chaos_injections_total")
         - metrics_before.total("mobipriv_chaos_injections_total");
     if injected <= 0.0 {
@@ -723,195 +747,25 @@ fn chaos_soak(opts: &Options, body: Vec<u8>) -> ! {
     std::process::exit(1);
 }
 
-/// One submit→poll→fetch cycle against the job engine. Returns the
-/// submission classification (`enqueued`/`coalesced`/`cached`).
-fn job_cycle(
-    leg: &mut ClientLeg,
-    submit_target: &str,
-    tally: &mut Tally,
-    sent: Instant,
-) -> Option<String> {
-    let (status, body) = match leg.send("POST", submit_target, b"") {
-        Ok(r) => r,
-        Err(_) => {
-            tally.io_errors += 1;
-            return None;
-        }
-    };
-    if status != 200 && status != 202 {
-        *tally.by_status.entry(status).or_default() += 1;
-        return None;
-    }
-    let Some(id) = json_str_field(&body, "id") else {
-        *tally.by_status.entry(0).or_default() += 1;
-        return None;
-    };
-    let submitted = json_str_field(&body, "submitted").unwrap_or_default();
-    let mut job_status = json_str_field(&body, "status").unwrap_or_default();
-    // Done at submission time = the cache answered; no computation was
-    // waited on, whether the record was fresh ("cached") or an old done
-    // job coalesced onto ("coalesced").
-    let warm = job_status == "done";
-    let poll_target = format!("/v1/jobs/{id}");
-    // A wedged job must fail the run with the breakdown, not hang the
-    // client (and the CI smoke job) forever.
-    let poll_deadline = Instant::now() + Duration::from_secs(120);
-    while job_status != "done" {
-        if job_status == "failed" {
-            *tally.by_status.entry(500).or_default() += 1;
-            return None;
-        }
-        if Instant::now() > poll_deadline {
-            tally.io_errors += 1;
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        match leg.send("GET", &poll_target, b"") {
-            Ok((200, body)) => {
-                job_status = json_str_field(&body, "status").unwrap_or_default();
-            }
-            Ok((status, _)) => {
-                *tally.by_status.entry(status).or_default() += 1;
-                return None;
-            }
-            Err(_) => {
-                tally.io_errors += 1;
-                return None;
-            }
-        }
-    }
-    match leg.send("GET", &format!("/v1/results/{id}"), b"") {
-        Ok((200, body)) => {
-            let latency = sent.elapsed();
-            tally.bytes_in += body.len();
-            if warm {
-                tally.warm.push(latency);
-            } else if submitted == "enqueued" {
-                tally.cold.push(latency);
-            } else {
-                tally.coalesced.push(latency);
-            }
-            Some(submitted)
-        }
-        Ok((status, _)) => {
-            *tally.by_status.entry(status).or_default() += 1;
-            None
-        }
-        Err(_) => {
-            tally.io_errors += 1;
-            None
-        }
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args);
-
-    let workload = scenarios::serving_day(opts.users, opts.seed);
-    let serialize = |dataset: &Dataset, out: &mut Vec<u8>| match opts.format {
-        WireFormat::Csv => write_csv(dataset, out),
-        WireFormat::NdJson => write_ndjson(dataset, out),
-        WireFormat::Bin => write_bin(dataset, out),
-    };
-    let mut body = Vec::new();
-    serialize(&workload.dataset, &mut body).expect("serialize workload");
-    if opts.dump {
-        std::io::stdout().write_all(&body).expect("write workload");
-        return;
-    }
-    if opts.chaos {
-        chaos_soak(&opts, body);
-    }
-    let traces = workload.dataset.len();
-    let fixes = workload.dataset.total_fixes();
-    drop(workload);
-
-    println!(
-        "workload: {} users, {traces} traces, {fixes} fixes, {}-byte {} body (seed {})",
-        opts.users,
-        body.len(),
-        opts.format.name(),
-        opts.seed
-    );
-
-    // Client-side wire-format throughput: how fast this machine parses
-    // and re-serializes the chosen format, independent of the server —
-    // the number to compare across --format runs.
-    {
-        let mfix = fixes as f64 / 1e6;
-        let t = Instant::now();
-        let reparsed = match opts.format {
-            WireFormat::Csv => read_csv(body.as_slice()),
-            WireFormat::NdJson => read_ndjson(body.as_slice()),
-            WireFormat::Bin => read_bin(body.as_slice()),
-        }
-        .expect("reparse workload");
-        let parse = mfix / t.elapsed().as_secs_f64().max(1e-9);
-        let t = Instant::now();
-        let mut rewritten = Vec::with_capacity(body.len());
-        serialize(&reparsed, &mut rewritten).expect("reserialize workload");
-        let write = mfix / t.elapsed().as_secs_f64().max(1e-9);
-        println!(
-            "format:   {} — parse {parse:.1} Mfix/s, serialize {write:.1} Mfix/s ({:.1} B/fix)",
-            opts.format.name(),
-            body.len() as f64 / fixes.max(1) as f64
-        );
-    }
-
-    let digest = if opts.jobs {
-        // Register once (in the chosen wire format — the digest is
-        // format-independent); every job request references the digest.
-        let register_target = format!("/v1/datasets?format={}", opts.format.name());
+/// The closed-loop run (one-shot, or `--jobs`); exits 1 if any request
+/// failed.
+fn run(opts: &Options, body: &[u8], fixes: usize) {
+    // Set-up over a leg of its own, closed before the client threads
+    // start so a keep-alive set-up connection pins no server worker.
+    let mut leg = Leg::new(opts);
+    let digest = opts.jobs.then(|| {
         let registered_at = Instant::now();
-        let (status, response) = match request(&opts.addr, "POST", &register_target, &body) {
-            Ok(r) => r,
-            Err(e) => fail(&format!("cannot reach {}: {e}", opts.addr)),
-        };
-        if status != 200 {
-            fail(&format!("dataset registration answered HTTP {status}"));
-        }
-        let digest = json_str_field(&response, "digest")
-            .unwrap_or_else(|| fail("registration response carries no digest"));
+        let digest = register(&mut leg, body);
         println!(
             "registered: digest {digest} in {:.1} ms (register-once, publish-many)",
             ms(registered_at.elapsed())
         );
-        Some(digest)
-    } else {
-        None
-    };
-
-    // The target for request i. One-shot mode always POSTs the same
-    // anonymize query; --jobs mode cycles through `distinct` seeds so
-    // each key sees both a cold and (requests/distinct - 1) warm hits.
-    let make_target = {
-        let (digest, mechanism, extra) =
-            (digest.clone(), opts.mechanism.clone(), opts.query.clone());
-        let (seed, distinct, format) = (opts.seed, opts.distinct, opts.format);
-        move |i: usize| -> String {
-            let mut target = match &digest {
-                Some(digest) => format!(
-                    "/v1/jobs?dataset={digest}&mechanism={mechanism}&seed={}",
-                    seed.wrapping_add((i % distinct) as u64)
-                ),
-                None => format!(
-                    "/v1/anonymize?mechanism={mechanism}&seed={seed}&format={}",
-                    format.name()
-                ),
-            };
-            if !extra.is_empty() {
-                target.push('&');
-                target.push_str(&extra);
-            }
-            target
-        }
-    };
-
+        digest
+    });
     println!(
-        "target:   http://{}{} — {} requests, concurrency {}{}{}",
+        "target:   http://{}{} — {} requests, concurrency {}{}",
         opts.addr,
-        make_target(0),
+        opts.target(digest.as_deref(), opts.seed),
         opts.requests,
         opts.concurrency,
         if opts.jobs {
@@ -919,36 +773,21 @@ fn main() {
         } else {
             String::new()
         },
-        if opts.rate > 0.0 {
-            format!(
-                ", {} req/s{}",
-                opts.rate,
-                if opts.open_loop { " (open loop)" } else { "" }
-            )
-        } else {
-            String::new()
-        }
     );
     if opts.keep_alive {
         println!("transport: keep-alive (one persistent connection per client thread)");
     }
-
     if !opts.jobs {
         // Connectivity probe before unleashing the fleet.
-        match request(&opts.addr, "POST", &make_target(0), &body) {
+        match leg.send("POST", &opts.target(None, opts.seed), body) {
             Ok((200, _)) => {}
             Ok((status, _)) => fail(&format!("probe request answered HTTP {status}")),
             Err(e) => fail(&format!("cannot reach {}: {e}", opts.addr)),
         }
     }
-
     // Server-side baseline: the /metrics counters before the run, so
     // the summary can print exactly what this run added.
-    let metrics_before = scrape_metrics(&opts.addr);
-
-    let body = Arc::new(body);
-    let addr = Arc::new(opts.addr.clone());
-    let make_target = Arc::new(make_target);
+    let metrics_before = scrape_metrics(&mut leg);
     let started = Instant::now();
 
     // --jobs: publish each distinct view once, sequentially, before the
@@ -961,95 +800,24 @@ fn main() {
     // lives in its own `wire=bin` keyspace and the first job per key
     // computes cold), so the concurrent phase measures pure
     // publish-many serving.
-    let mut cold_tally = Tally::default();
-    let concurrent_from = if opts.jobs {
-        let cold = opts.distinct.min(opts.requests);
-        for i in 0..cold {
-            let mut target = format!(
-                "/v1/anonymize?mechanism={}&seed={}&format={}",
-                opts.mechanism,
-                opts.seed.wrapping_add((i % opts.distinct) as u64),
-                opts.format.name()
-            );
-            if !opts.query.is_empty() {
-                target.push('&');
-                target.push_str(&opts.query);
-            }
-            let sent = Instant::now();
-            match request(&opts.addr, "POST", &target, &body) {
-                Ok((200, response)) => {
-                    cold_tally.cold.push(sent.elapsed());
-                    cold_tally.bytes_in += response.len();
-                }
-                Ok((status, _)) => {
-                    *cold_tally.by_status.entry(status).or_default() += 1;
-                }
-                Err(_) => cold_tally.io_errors += 1,
-            }
-        }
-        cold
+    let mut tally = Tally::default();
+    let cold = if opts.jobs {
+        opts.distinct.min(opts.requests)
     } else {
         0
     };
-    let next = Arc::new(AtomicUsize::new(concurrent_from));
-    let mut clients = Vec::new();
-    for _ in 0..opts.concurrency {
-        let (body, addr, next, make_target) = (
-            Arc::clone(&body),
-            Arc::clone(&addr),
-            Arc::clone(&next),
-            Arc::clone(&make_target),
-        );
-        let (requests, rate, jobs) = (opts.requests, opts.rate, opts.jobs);
-        let (keep_alive, open_loop, timeout) = (opts.keep_alive, opts.open_loop, opts.timeout);
-        clients.push(std::thread::spawn(move || {
-            let mut tally = Tally::default();
-            let mut leg = ClientLeg::new(&addr, keep_alive, timeout);
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= requests {
-                    break;
-                }
-                let mut sent = Instant::now();
-                if rate > 0.0 {
-                    // Paced arrivals: request i is due at i/rate.
-                    let due = Duration::from_secs_f64(i as f64 / rate);
-                    if let Some(wait) = due.checked_sub(started.elapsed()) {
-                        std::thread::sleep(wait);
-                        sent = Instant::now();
-                    } else if open_loop {
-                        // Behind schedule: open-loop latency is charged
-                        // from the scheduled arrival, so the backlog a
-                        // saturated server builds is visible instead of
-                        // silently thinning the arrival process.
-                        sent = started + due;
-                    }
-                }
-                let target = make_target(i);
-                if jobs {
-                    job_cycle(&mut leg, &target, &mut tally, sent);
-                } else {
-                    match leg.send("POST", &target, &body) {
-                        Ok((200, response)) => {
-                            tally.cold.push(sent.elapsed());
-                            tally.bytes_in += response.len();
-                        }
-                        Ok((status, _)) => {
-                            *tally.by_status.entry(status).or_default() += 1;
-                        }
-                        Err(_) => tally.io_errors += 1,
-                    }
-                }
-            }
-            let (conn_requests, conn_dialed) = leg.counts();
-            tally.conn_requests = conn_requests;
-            tally.conn_dialed = conn_dialed;
-            tally
-        }));
+    for i in 0..cold {
+        tally.time(|| post(&mut leg, &opts.target(None, opts.key_seed(i)), body));
     }
-    let mut tally = cold_tally;
-    for client in clients {
-        tally.merge(client.join().expect("client thread panicked"));
+    drop(leg);
+    let threads = pool(opts, cold, |leg, i, thread: &mut Tally| {
+        thread.time(|| match &digest {
+            Some(digest) => job_cycle(leg, &opts.target(Some(digest), opts.key_seed(i))),
+            None => post(leg, &opts.target(None, opts.seed), body),
+        })
+    });
+    for (thread, leg) in threads {
+        tally.merge(thread, &leg);
     }
     let elapsed = started.elapsed();
 
@@ -1058,11 +826,11 @@ fn main() {
     // measures saturation, not serving latency. One uncontended cycle
     // per key is the like-for-like counterpart of the sequential cold
     // pass. Probe requests are not counted in the run totals.
+    let mut leg = Leg::new(opts);
     let mut probe = Tally::default();
-    if opts.jobs {
-        let mut leg = ClientLeg::new(&opts.addr, opts.keep_alive, opts.timeout);
-        for i in 0..opts.distinct.min(opts.requests) {
-            job_cycle(&mut leg, &make_target(i), &mut probe, Instant::now());
+    if let Some(digest) = &digest {
+        for i in 0..cold {
+            probe.time(|| job_cycle(&mut leg, &opts.target(Some(digest), opts.key_seed(i))));
         }
     }
 
@@ -1077,12 +845,9 @@ fn main() {
         let mut parts: Vec<String> = tally
             .by_status
             .iter()
-            .map(|(status, n)| {
-                if *status == 0 {
-                    format!("unparseable×{n}")
-                } else {
-                    format!("HTTP {status}×{n}")
-                }
+            .map(|(status, n)| match status {
+                0 => format!("unparseable×{n}"),
+                _ => format!("HTTP {status}×{n}"),
             })
             .collect();
         if tally.io_errors > 0 {
@@ -1130,18 +895,44 @@ fn main() {
                 100.0 * hits as f64 / ok as f64
             );
         }
-        // The server's own counters, when reachable.
-        if let Ok((200, stats)) = request(&opts.addr, "GET", "/v1/stats", b"") {
-            if let Ok(text) = std::str::from_utf8(&stats) {
-                println!("server:   {}", text.trim_end());
-            }
-        }
     } else {
         latency_line("latency", &mut tally.cold);
     }
-    let metrics_after = scrape_metrics(&opts.addr);
+    let metrics_after = scrape_metrics(&mut leg);
     print_server_delta(&metrics_before, &metrics_after);
     if failures > 0 {
         std::process::exit(1);
     }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args);
+
+    let workload = scenarios::serving_day(opts.users, opts.seed);
+    let mut body = Vec::new();
+    match opts.format {
+        WireFormat::Csv => write_csv(&workload.dataset, &mut body),
+        WireFormat::NdJson => write_ndjson(&workload.dataset, &mut body),
+        WireFormat::Bin => write_bin(&workload.dataset, &mut body),
+    }
+    .expect("serialize workload");
+    if opts.dump {
+        std::io::stdout().write_all(&body).expect("write workload");
+        return;
+    }
+    if opts.chaos {
+        chaos_soak(&opts, &body);
+    }
+    let fixes = workload.dataset.total_fixes();
+    println!(
+        "workload: {} users, {} traces, {fixes} fixes, {}-byte {} body (seed {})",
+        opts.users,
+        workload.dataset.len(),
+        body.len(),
+        opts.format.name(),
+        opts.seed
+    );
+    drop(workload);
+    run(&opts, &body, fixes);
 }

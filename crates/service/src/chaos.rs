@@ -28,6 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use mobipriv_model::digest::{fnv1a64, mix64};
 use mobipriv_obs::metrics::{Counter, Registry};
 
 use crate::ServiceError;
@@ -190,7 +191,7 @@ impl ChaosInjector {
         };
         let n = self.rolls.fetch_add(1, Ordering::Relaxed);
         let base =
-            mix64(config.seed ^ fnv1a(key.as_bytes()) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            mix64(config.seed ^ fnv1a64(key.as_bytes()) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         if unit(mix64(base ^ 1)) < config.latency_p {
             self.injected_latency.inc();
             std::thread::sleep(Duration::from_millis(config.latency_ms));
@@ -212,24 +213,6 @@ impl ChaosInjector {
     pub fn injected(&self) -> u64 {
         self.injected_latency.get() + self.injected_errors.get() + self.injected_panics.get()
     }
-}
-
-/// FNV-1a over `bytes` — the key half of the roll derivation (also the
-/// jitter source for [`crate::jobs::backoff_ms`]).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// SplitMix64 finalizer.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Maps a mixed word onto `[0, 1)` using its top 53 bits.

@@ -1,21 +1,22 @@
 //! A minimal blocking HTTP/1.1 client for the service's own tooling —
 //! `mobipriv-loadgen`, the perf bench, the shard router's upstream leg
-//! and the smoke harnesses all speak to the server through this one
+//! and the socket tests all speak to the server through this one
 //! implementation instead of carrying private copies of the
 //! request/parse logic.
 //!
-//! Two shapes: the free functions ([`request`], [`request_full`]) send
-//! `Connection: close` and pay a fresh TCP connection per request;
-//! [`Connection`] keeps one socket open and frames responses by
-//! `Content-Length`, so warm loops reuse the connection (and it
-//! transparently reconnects when the server closes — idle deadline,
-//! request cap, restart). Fixed-length bodies only, plus two one-call
-//! readers for a top-level field of the JSON documents the API returns
+//! [`Connection`] is the only response reader. It keeps one socket
+//! open and frames responses by `Content-Length`, so warm loops reuse
+//! the connection (and it transparently redials when the server closes
+//! — idle deadline, request cap, restart). The free functions
+//! ([`request`], [`request_with_timeout`], [`request_full`]) are
+//! one-request `Connection`s that send `Connection: close`, paying a
+//! fresh TCP connection per request. Two one-call readers pick a
+//! top-level field out of the JSON documents the API returns
 //! ([`json_str_field`], [`json_u64_field`], both on
 //! [`mobipriv_eval::Json`]).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use mobipriv_eval::Json;
@@ -34,8 +35,9 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
 ///
 /// # Errors
 ///
-/// Propagates connect/read/write failures; a response without a parsable
-/// status line reports status `0` rather than erroring.
+/// Propagates connect/read/write failures, including a connection
+/// closed before the status line; a response whose status line does
+/// not parse reports status `0` rather than erroring.
 pub fn request<A: ToSocketAddrs>(
     addr: A,
     method: &str,
@@ -51,9 +53,7 @@ pub fn request<A: ToSocketAddrs>(
 ///
 /// # Errors
 ///
-/// Propagates connect/read/write failures (including the timeout
-/// expiring mid-read); a response without a parsable status line
-/// reports status `0` rather than erroring.
+/// As for [`request`], including the timeout expiring mid-read.
 pub fn request_with_timeout<A: ToSocketAddrs>(
     addr: A,
     method: &str,
@@ -61,7 +61,7 @@ pub fn request_with_timeout<A: ToSocketAddrs>(
     body: &[u8],
     read_timeout: Duration,
 ) -> std::io::Result<(u16, Vec<u8>)> {
-    let (status, _, body) = exchange(addr, method, target, body, read_timeout)?;
+    let (status, _, body) = one_shot(addr, method, target, body, read_timeout)?;
     Ok((status, body))
 }
 
@@ -72,62 +72,26 @@ pub fn request_with_timeout<A: ToSocketAddrs>(
 ///
 /// # Errors
 ///
-/// Propagates connect/read/write failures; a response without a parsable
-/// status line reports status `0` rather than erroring.
+/// As for [`request`].
 pub fn request_full<A: ToSocketAddrs>(
     addr: A,
     method: &str,
     target: &str,
     body: &[u8],
 ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
-    exchange(addr, method, target, body, DEFAULT_READ_TIMEOUT)
+    one_shot(addr, method, target, body, DEFAULT_READ_TIMEOUT)
 }
 
-fn exchange<A: ToSocketAddrs>(
+fn one_shot<A: ToSocketAddrs>(
     addr: A,
     method: &str,
     target: &str,
     body: &[u8],
     read_timeout: Duration,
 ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(read_timeout))?;
-    // `connection: close` keeps the read-to-EOF parse below correct
-    // against a keep-alive server (which would otherwise hold the
-    // socket open waiting for the next request).
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nhost: client\r\ncontent-type: text/csv\r\n\
-         content-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response)?;
-    let status = response
-        .split(|&b| b == b' ')
-        .nth(1)
-        .and_then(|s| std::str::from_utf8(s).ok())
-        .and_then(|s| s.parse::<u16>().ok())
-        .unwrap_or(0);
-    let split = response.windows(4).position(|w| w == b"\r\n\r\n");
-    let headers = split
-        .and_then(|split| std::str::from_utf8(&response[..split]).ok())
-        .map(|head| {
-            head.lines()
-                .skip(1) // status line
-                .filter_map(|line| {
-                    let (name, value) = line.split_once(':')?;
-                    Some((name.trim().to_ascii_lowercase(), value.trim().to_owned()))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let body = split
-        .map(|split| response[split + 4..].to_vec())
-        .unwrap_or_default();
-    Ok((status, headers, body))
+    let mut conn = Connection::connect(addr, read_timeout)?;
+    conn.keep_alive = false;
+    conn.request(method, target, body)
 }
 
 /// A persistent (keep-alive) client connection to one server.
@@ -135,47 +99,55 @@ fn exchange<A: ToSocketAddrs>(
 /// Responses are framed by `Content-Length`, so the socket survives
 /// across requests; when the server closes it instead (idle deadline,
 /// per-connection request cap, restart, `connection: close` response)
-/// the next request transparently redials — and a request that fails
-/// on a *reused* socket is retried once on a fresh one, since a stale
-/// pooled connection is indistinguishable from the server having
-/// closed it a moment ago. The [`Connection::requests`] /
+/// the next request transparently redials. A request is sent a second
+/// time, on a fresh socket, only when it failed the way a stale socket
+/// fails: the socket had already carried a complete response (the
+/// server may have idle-closed it since) and the failure is EOF, reset
+/// or broken pipe before any status line. A read timeout, a failure on
+/// a socket dialed for this request, or one after the status line is
+/// the caller's error. The [`Connection::requests`] /
 /// [`Connection::connects`] counters let callers report the achieved
 /// reuse rate.
 #[derive(Debug)]
 pub struct Connection {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     stream: Option<BufReader<TcpStream>>,
+    /// Whether `stream` has carried a complete response — the only
+    /// kind of socket that can have gone stale.
+    carried: bool,
+    /// `false` asks the server to close after each response (the free
+    /// functions' one-request connections).
+    keep_alive: bool,
     read_timeout: Duration,
     requests: u64,
     connects: u64,
 }
 
 impl Connection {
-    /// Resolves `addr` (first resolution wins) and dials it eagerly.
+    /// Dials `addr` eagerly (each resolution in turn, as
+    /// [`TcpStream::connect`] does); redials go to the address that
+    /// answered.
     ///
     /// # Errors
     ///
     /// Resolution or connect failure.
     pub fn connect<A: ToSocketAddrs>(addr: A, read_timeout: Duration) -> std::io::Result<Self> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to nothing",
-            )
-        })?;
+        let stream = TcpStream::connect(addr)?;
         let mut conn = Connection {
-            addr,
+            addr: stream.peer_addr()?,
             stream: None,
+            carried: false,
+            keep_alive: true,
             read_timeout,
             requests: 0,
             connects: 0,
         };
-        conn.dial()?;
+        conn.adopt(stream)?;
         Ok(conn)
     }
 
-    /// The resolved peer address.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    /// The peer address.
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -203,8 +175,8 @@ impl Connection {
     /// # Errors
     ///
     /// Connect/read/write failures after the one stale-socket retry
-    /// described on [`Connection`]; a response without a parsable
-    /// status line reports status `0` rather than erroring.
+    /// described on [`Connection`]; a response whose status line does
+    /// not parse reports status `0` rather than erroring.
     pub fn request(
         &mut self,
         method: &str,
@@ -228,30 +200,40 @@ impl Connection {
         content_type: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
-        let mut attempt = 0;
-        loop {
-            let reused = self.stream.is_some();
-            match self.try_request(method, target, content_type, body) {
-                Ok(response) => {
-                    self.requests += 1;
-                    return Ok(response);
-                }
+        let mut may_retry = true;
+        let status_line = loop {
+            let stale_candidate = self.carried && may_retry;
+            match self.send(method, target, content_type, body) {
+                Ok(line) => break line,
                 Err(e) => {
-                    self.stream = None;
-                    // Only a first failure on a reused socket is
-                    // plausibly just staleness; a fresh socket failing
-                    // is a real error the caller must see.
-                    if !reused || attempt > 0 {
+                    self.disconnect();
+                    let stale = matches!(
+                        e.kind(),
+                        ErrorKind::UnexpectedEof
+                            | ErrorKind::ConnectionReset
+                            | ErrorKind::ConnectionAborted
+                            | ErrorKind::BrokenPipe
+                    );
+                    if !(stale_candidate && stale) {
                         return Err(e);
                     }
-                    attempt += 1;
+                    may_retry = false;
                 }
+            }
+        };
+        match self.read_response(&status_line) {
+            Ok(response) => {
+                self.requests += 1;
+                Ok(response)
+            }
+            Err(e) => {
+                self.disconnect();
+                Err(e)
             }
         }
     }
 
-    fn dial(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect(self.addr)?;
+    fn adopt(&mut self, stream: TcpStream) -> std::io::Result<()> {
         stream.set_read_timeout(Some(self.read_timeout))?;
         // Requests here are strictly sequential request/response pairs:
         // disable Nagle so a small request is not held back waiting for
@@ -259,30 +241,48 @@ impl Connection {
         let _ = stream.set_nodelay(true);
         self.connects += 1;
         self.stream = Some(BufReader::new(stream));
+        self.carried = false;
         Ok(())
     }
 
-    fn try_request(
+    fn disconnect(&mut self) {
+        self.stream = None;
+        self.carried = false;
+    }
+
+    /// Writes the request (dialing first if no socket is open) and
+    /// reads the response's status line.
+    fn send(
         &mut self,
         method: &str,
         target: &str,
         content_type: &str,
         body: &[u8],
-    ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
+    ) -> std::io::Result<String> {
         if self.stream.is_none() {
-            self.dial()?;
+            self.adopt(TcpStream::connect(self.addr)?)?;
         }
+        let close = if self.keep_alive {
+            ""
+        } else {
+            "connection: close\r\n"
+        };
+        let head = format!(
+            "{method} {target} HTTP/1.1\r\nhost: client\r\ncontent-type: {content_type}\r\n\
+             content-length: {}\r\n{close}\r\n",
+            body.len()
+        );
         let reader = self.stream.as_mut().expect("dialed above");
         let stream = reader.get_mut();
-        write!(
-            stream,
-            "{method} {target} HTTP/1.1\r\nhost: client\r\ncontent-type: {content_type}\r\n\
-             content-length: {}\r\n\r\n",
-            body.len()
-        )?;
+        stream.write_all(head.as_bytes())?;
         stream.write_all(body)?;
         stream.flush()?;
-        let status_line = read_response_line(reader)?;
+        read_response_line(reader)
+    }
+
+    /// Reads the headers and body that follow `status_line`.
+    fn read_response(&mut self, status_line: &str) -> std::io::Result<(u16, Headers, Vec<u8>)> {
+        let reader = self.stream.as_mut().expect("open after a status line");
         let status = status_line
             .split(' ')
             .nth(1)
@@ -323,8 +323,17 @@ impl Connection {
                 buf
             }
         };
+        if !self.keep_alive {
+            // A one-request connection returns only once the server has
+            // closed it, as a read-to-EOF client would: by then the
+            // server has finished the request, its accounting included.
+            let _ = std::io::copy(reader, &mut std::io::sink());
+            close = true;
+        }
         if close {
-            self.stream = None;
+            self.disconnect();
+        } else {
+            self.carried = true;
         }
         Ok((status, headers, body))
     }
@@ -341,16 +350,15 @@ fn read_response_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<Stri
         .read_until(b'\n', &mut line)?;
     if n == 0 {
         return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
+            ErrorKind::UnexpectedEof,
             "connection closed mid-response",
         ));
     }
     while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
         line.pop();
     }
-    String::from_utf8(line).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response head")
-    })
+    String::from_utf8(line)
+        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "non-UTF-8 response head"))
 }
 
 /// The first value of `name` (lowercase) in a [`request_full`] header
@@ -383,6 +391,86 @@ fn top_level<T>(body: &[u8], field: &str, read: impl FnOnce(&Json) -> Option<T>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    const READ_TIMEOUT: Duration = Duration::from_millis(400);
+
+    /// A peer that answers the first request on its first connection
+    /// with a framed `200 ok`, then does `after` with that socket.
+    fn answer_once(listener: TcpListener, after: impl FnOnce(TcpStream) + Send + 'static) {
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream);
+            loop {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("request head");
+                if line == "\r\n" || line.is_empty() {
+                    break;
+                }
+            }
+            let mut stream = reader.into_inner();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok")
+                .expect("answer");
+            after(stream);
+        });
+    }
+
+    #[test]
+    fn a_freshly_dialed_socket_is_never_retried() {
+        // Bound but silent: the kernel completes the handshake, nothing
+        // ever answers. The socket `connect` dialed has carried no
+        // response, so its timeout is the caller's error, not staleness.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = Connection::connect(listener.local_addr().unwrap(), READ_TIMEOUT).unwrap();
+        assert!(conn.request("GET", "/healthz", b"").is_err());
+        assert_eq!(conn.connects(), 1, "the failed request was re-sent");
+        assert_eq!(conn.requests(), 0);
+    }
+
+    #[test]
+    fn a_read_timeout_on_a_reused_socket_is_not_retried() {
+        // Answers once, then holds the socket open and silent: the
+        // second request times out on a socket that did carry a
+        // response — a hung peer, not a stale socket.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Keep listening too, so a redial would connect and hang again.
+        let silent = listener.try_clone().unwrap();
+        let (hold, held) = std::sync::mpsc::channel();
+        answer_once(listener, move |stream| hold.send(stream).unwrap());
+        let mut conn = Connection::connect(addr, READ_TIMEOUT).unwrap();
+        let (status, _, body) = conn.request("GET", "/healthz", b"").unwrap();
+        assert_eq!((status, body.as_slice()), (200, &b"ok"[..]));
+        let started = Instant::now();
+        assert!(conn.request("GET", "/healthz", b"").is_err());
+        let elapsed = started.elapsed();
+        assert_eq!(conn.connects(), 1, "the timed-out request was re-sent");
+        assert!(
+            elapsed < READ_TIMEOUT * 2,
+            "one timeout, not two: {elapsed:?}"
+        );
+        drop((held, silent));
+    }
+
+    #[test]
+    fn a_socket_closed_after_a_response_is_redialed_once() {
+        // Answers once, then closes: the next request finds EOF before
+        // any status line — the stale-socket race — and goes out again
+        // on a fresh socket, which this listener answers.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let second = listener.try_clone().unwrap();
+        answer_once(listener, move |stream| {
+            drop(stream);
+            answer_once(second, drop);
+        });
+        let mut conn = Connection::connect(addr, READ_TIMEOUT).unwrap();
+        assert_eq!(conn.request("GET", "/a", b"").unwrap().0, 200);
+        assert_eq!(conn.request("GET", "/b", b"").unwrap().0, 200);
+        assert_eq!((conn.requests(), conn.connects()), (2, 2));
+    }
 
     #[test]
     fn field_scrapers_read_flat_documents() {

@@ -36,11 +36,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mobipriv_eval::Json;
+use mobipriv_model::digest::{fnv1a64, mix64};
 use mobipriv_obs::logging::{self, FieldValue};
 use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 
 use crate::cache::{result_key, CacheOutcome};
-use crate::chaos::{fnv1a, mix64};
 use crate::compute;
 use crate::datasets::DatasetEntry;
 use crate::registry::{resolve_mechanism, Params};
@@ -252,7 +252,7 @@ pub fn backoff_ms(key: &str, attempt: u32, base_ms: u64, cap_ms: u64) -> u64 {
     let exponential = base.saturating_mul(1u64 << attempt.min(20));
     // Jitter strictly below `base`: each doubling step grows by at
     // least `base`, so jitter can never break monotonicity.
-    let jitter = mix64(fnv1a(key.as_bytes()) ^ u64::from(attempt)) % base;
+    let jitter = mix64(fnv1a64(key.as_bytes()) ^ u64::from(attempt)) % base;
     exponential.saturating_add(jitter).min(cap_ms.max(base))
 }
 

@@ -106,3 +106,48 @@ pub use router::{rendezvous_owner, rendezvous_rank, Router, RouterConfig, Router
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::AppState;
 pub use store::{Store, StoreStats};
+
+#[cfg(test)]
+mod tests {
+    use mobipriv_core::{derive_user_token, trace_seed};
+    use mobipriv_eval::digest::cell_seed;
+    use mobipriv_model::UserId;
+
+    use crate::{backoff_ms, router::rendezvous_score};
+
+    /// Every seed, placement and backoff derivation shares one FNV-1a
+    /// and one SplitMix64 finalizer (`mobipriv_model::digest`); these
+    /// values pin what the RNG streams, golden corpus, shard placement
+    /// and retry schedules are built on.
+    #[test]
+    fn hash_derivations_are_pinned() {
+        let user = UserId::new;
+        assert_eq!(trace_seed(0, user(0), 0), 0x3a4c_a1b4_0c2b_f811);
+        assert_eq!(trace_seed(42, user(7), 3), 0x6f9a_7950_d36c_0ee4);
+        assert_eq!(
+            trace_seed(u64::MAX, user(123_456), 99),
+            0xbb4c_10ba_042f_a8a5
+        );
+        assert_eq!(derive_user_token(0, user(0)), 0x664f_207d_25bf_308e);
+        assert_eq!(derive_user_token(42, user(7)), 0xbec4_c1bf_228e_d776);
+        assert_eq!(
+            derive_user_token(u64::MAX, user(123_456)),
+            0xf8ac_4fae_ddbd_36ed
+        );
+        assert_eq!(cell_seed(0, "", ""), 0x25fc_6dd3_6ce0_4b20);
+        assert_eq!(
+            cell_seed(42, "commuter_town", "promesse_a100"),
+            0xd9e3_de2d_6dbb_e6bf
+        );
+        assert_eq!(cell_seed(7, "ab", "c"), 0xa8e3_c97a_cd31_eb1d);
+        assert_eq!(rendezvous_score("", ""), 0x25fc_6dd3_6ce0_4b20);
+        assert_eq!(
+            rendezvous_score("127.0.0.1:9001", "5f0c8ef4c3b77b74"),
+            0xed7a_79a0_5b7c_999b
+        );
+        assert_eq!(rendezvous_score("shard-b", "key"), 0x6ad5_4247_f246_98dd);
+        assert_eq!(backoff_ms("job", 0, 25, 1_000), 32);
+        assert_eq!(backoff_ms("promesse alpha=100|5f0c", 3, 25, 1_000), 201);
+        assert_eq!(backoff_ms("k", 2, 7, 10_000), 33);
+    }
+}

@@ -9,7 +9,7 @@
 //!
 //! Ownership is rendezvous (highest-random-weight) hashing over the
 //! dataset digest: every shard gets a deterministic score
-//! `mix(fnv1a64(shard ‖ 0x00 ‖ key))` and the highest score owns the
+//! `mix64(fnv1a64(shard ‖ 0x00 ‖ key))` and the highest score owns the
 //! key. Rendezvous hashing is stable under shard-list reordering (the
 //! score only depends on the shard *name*), assigns keys near-uniformly
 //! and, when a shard is removed, remaps only the keys that shard owned
@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mobipriv_eval::Json;
-use mobipriv_model::digest::{dataset_digest, digest_hex, fnv1a64};
+use mobipriv_model::digest::{dataset_digest, digest_hex, fnv1a64, mix64};
 use mobipriv_model::DatasetStream;
 use mobipriv_obs::logging::{self, FieldValue};
 use mobipriv_obs::metrics::{render_merged, Counter, Registry};
@@ -63,27 +63,15 @@ use crate::ServiceError;
 // Rendezvous hashing
 // ---------------------------------------------------------------------------
 
-/// `splitmix64`'s finalizer: a full-avalanche bijection that spreads
-/// FNV's weak low bits over the whole word, so comparing scores is fair
-/// even for near-identical inputs.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
 /// The rendezvous score of `shard` for `key`: the shard with the
 /// highest score owns the key. The `0x00` separator keeps
-/// `("ab","c")` and `("a","bc")` from colliding.
+/// `("ab","c")` and `("a","bc")` from colliding; the finalizer spreads
+/// FNV's weak low bits over the whole word, so comparing scores is fair
+/// even for near-identical inputs.
 pub fn rendezvous_score(shard: &str, key: &str) -> u64 {
-    let mut bytes = Vec::with_capacity(shard.len() + 1 + key.len());
-    bytes.extend_from_slice(shard.as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(key.as_bytes());
-    mix(fnv1a64(&bytes))
+    mix64(fnv1a64(
+        &[shard.as_bytes(), b"\x00", key.as_bytes()].concat(),
+    ))
 }
 
 /// Shard indices ordered by descending rendezvous score for `key`
@@ -789,7 +777,7 @@ mod tests {
     fn removal_only_remaps_the_lost_shards_keys() {
         let shards = shard_names(4);
         let keys: Vec<String> = (0..200)
-            .map(|i| format!("{:016x}", mix(i as u64)))
+            .map(|i| format!("{:016x}", mix64(i as u64)))
             .collect();
         let before: Vec<usize> = keys
             .iter()
@@ -809,7 +797,7 @@ mod tests {
         let shards = shard_names(4);
         let mut counts = [0usize; 4];
         for i in 0..4000 {
-            let key = format!("{:016x}", mix(i));
+            let key = format!("{:016x}", mix64(i));
             counts[rendezvous_owner(&shards, &key).unwrap()] += 1;
         }
         for &count in &counts {

@@ -4,27 +4,18 @@
 //! connection-contract cases run against a router over one shard too:
 //! both share one connection runtime.
 
-use std::collections::HashMap;
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use mobipriv_core::{Engine, Mechanism};
+use common::{batch_reference, connect, csv_of, exchange, get, post, read_framed, start};
 use mobipriv_eval::json::Json;
-use mobipriv_model::{read_bin, read_csv, write_bin, write_csv, write_ndjson, Dataset};
+use mobipriv_model::{read_bin, read_csv, write_bin, write_csv, write_ndjson};
 use mobipriv_obs::scrape;
-use mobipriv_service::registry::{build_mechanism, Params};
-use mobipriv_service::{Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle};
+use mobipriv_service::{Router, RouterConfig, RouterHandle, ServerConfig, ServerHandle};
 use mobipriv_synth::scenarios;
-
-fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig::default();
-    configure(&mut config);
-    Server::bind(config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
 
 /// What a connection-contract test talks to.
 #[derive(Debug, Clone, Copy)]
@@ -91,70 +82,6 @@ fn start_on(target: Target, configure: impl FnOnce(&mut ServerConfig)) -> Front 
             }
         }
     }
-}
-
-/// Sends raw bytes, returns (status, lowercased headers, body).
-fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a head/body separator");
-    let head = std::str::from_utf8(&raw[..split]).expect("ASCII head");
-    let body = raw[split + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    // `connection: close` — these helpers read to EOF, and the server
-    // keeps an HTTP/1.1 connection open for its idle timeout otherwise.
-    exchange(
-        addr,
-        format!("GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut request = format!(
-        "POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(body);
-    exchange(addr, &request)
-}
-
-fn csv_of(dataset: &Dataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_csv(dataset, &mut out).unwrap();
-    out
-}
-
-/// What the batch engine produces for this query string — the reference
-/// every service response is compared against.
-fn batch_reference(dataset: &Dataset, query: &[(&str, &str)], seed: u64) -> Vec<u8> {
-    let pairs: Vec<(String, String)> = query
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    let mechanism: Box<dyn Mechanism> = build_mechanism(Params(&pairs)).expect("valid query");
-    csv_of(&Engine::sequential().protect(mechanism.as_ref(), dataset, seed))
 }
 
 fn query_string(query: &[(&str, &str)], seed: u64) -> String {
@@ -397,10 +324,7 @@ fn expect_100_continue_gets_an_interim_response() {
         )
         .into_bytes();
         request.extend_from_slice(&csv);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
+        let mut stream = connect(server.addr());
         stream.write_all(&request).unwrap();
         let mut raw = Vec::new();
         stream.read_to_end(&mut raw).unwrap();
@@ -578,49 +502,13 @@ fn evaluate_endpoint_rejects_bad_parameters() {
 
 // --- keep-alive connection semantics ---------------------------------------
 
-/// Reads exactly one `Content-Length`-framed response off an open
-/// socket, leaving any pipelined follow-up bytes unread. The helpers
-/// above read to EOF instead, which only works for `connection: close`.
-fn read_framed(stream: &mut TcpStream) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    while !raw.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte).expect("read response head");
-        assert!(n > 0, "EOF inside a response head: {raw:?}");
-        raw.push(byte[0]);
-    }
-    let head = std::str::from_utf8(&raw[..raw.len() - 4]).expect("ASCII head");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers: HashMap<String, String> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    let length: usize = headers["content-length"].parse().expect("content-length");
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body).expect("read framed body");
-    (status, headers, body)
-}
-
-fn connect_keep_alive(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-}
-
 #[test]
 fn keep_alive_reuses_one_socket_and_stays_byte_identical() {
     let server = start(|_| {});
     let addr = server.addr();
     let csv = b"user,trace,lat,lng,time\n1,0,48.8566,2.3522,0\n1,0,48.8570,2.3530,30\n";
 
-    let mut stream = connect_keep_alive(addr);
+    let mut stream = connect(addr);
     let mut reused = Vec::new();
     for _ in 0..3 {
         stream
@@ -667,7 +555,7 @@ fn keep_alive_reuses_one_socket_and_stays_byte_identical() {
 fn connection_close_is_honoured_with_a_close_response_and_eof() {
     for target in TARGETS {
         let server = start_on(target, |_| {});
-        let mut stream = connect_keep_alive(server.addr());
+        let mut stream = connect(server.addr());
         stream
             .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
             .unwrap();
@@ -692,7 +580,7 @@ fn connection_close_is_honoured_with_a_close_response_and_eof() {
 fn an_error_response_closes_a_keep_alive_connection() {
     for target in TARGETS {
         let server = start_on(target, |_| {});
-        let mut stream = connect_keep_alive(server.addr());
+        let mut stream = connect(server.addr());
         // The client asks to keep the connection; the 404 closes it
         // anyway, so an error can never desync what follows.
         stream
@@ -718,7 +606,7 @@ fn idle_deadline_reclaims_parked_connections() {
             config.idle_timeout = Duration::from_millis(200);
         });
         let addr = server.addr();
-        let mut stream = connect_keep_alive(addr);
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
             .unwrap();
@@ -754,7 +642,7 @@ fn keep_alive_idle_time_is_not_charged_to_the_next_request() {
     const PAUSE: Duration = Duration::from_millis(400);
     let server = start(|_| {});
     let addr = server.addr();
-    let mut stream = connect_keep_alive(addr);
+    let mut stream = connect(addr);
     let mut get_on = |target: &str| {
         stream
             .write_all(format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())
@@ -807,7 +695,7 @@ fn keep_alive_idle_time_is_not_charged_to_the_next_request() {
 fn max_requests_per_conn_caps_a_connection_with_a_close_response() {
     for target in TARGETS {
         let server = start_on(target, |config| config.max_requests_per_conn = 2);
-        let mut stream = connect_keep_alive(server.addr());
+        let mut stream = connect(server.addr());
         for expected in ["keep-alive", "close"] {
             stream
                 .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
@@ -830,7 +718,7 @@ fn max_requests_per_conn_caps_a_connection_with_a_close_response() {
 fn pipelined_requests_are_answered_in_order() {
     for target in TARGETS {
         let server = start_on(target, |_| {});
-        let mut stream = connect_keep_alive(server.addr());
+        let mut stream = connect(server.addr());
         // Both requests land in the connection's buffer before the
         // first response is written; the persistent reader must not
         // drop the second one between requests.

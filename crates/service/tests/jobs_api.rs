@@ -4,115 +4,16 @@
 //! coalesced responses must be byte-identical, and identical work must
 //! run exactly once (single-flight).
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+mod common;
 
-use mobipriv_core::{Engine, Mechanism};
+use std::net::SocketAddr;
+
+use common::{
+    batch_reference, csv_of, exchange, get, parse_json, poll_done, post, register, start, str_of,
+};
 use mobipriv_eval::Json;
-use mobipriv_model::{read_csv, write_csv, write_ndjson, Dataset};
-use mobipriv_service::registry::{build_mechanism, Params};
-use mobipriv_service::{Server, ServerConfig, ServerHandle};
+use mobipriv_model::{read_csv, write_ndjson};
 use mobipriv_synth::scenarios;
-
-fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig::default();
-    configure(&mut config);
-    Server::bind(config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
-
-/// Sends raw bytes, returns (status, lowercased headers, body).
-fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a head/body separator");
-    let head = std::str::from_utf8(&raw[..split]).expect("ASCII head");
-    let body = raw[split + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    // `connection: close` — these helpers read to EOF, and the server
-    // keeps an HTTP/1.1 connection open for its idle timeout otherwise.
-    exchange(
-        addr,
-        format!("GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut request = format!(
-        "POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(body);
-    exchange(addr, &request)
-}
-
-fn csv_of(dataset: &Dataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_csv(dataset, &mut out).unwrap();
-    out
-}
-
-fn parse_json(body: &[u8]) -> Json {
-    Json::parse(std::str::from_utf8(body).expect("UTF-8 JSON")).expect("parseable JSON")
-}
-
-fn str_of<'a>(doc: &'a Json, key: &str) -> &'a str {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("missing string `{key}`"))
-}
-
-/// Registers a dataset, returning its digest.
-fn register(addr: SocketAddr, csv: &[u8]) -> String {
-    let (status, headers, body) = post(addr, "/v1/datasets", csv);
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    let doc = parse_json(&body);
-    let digest = str_of(&doc, "digest").to_owned();
-    assert_eq!(headers["x-mobipriv-digest"], digest);
-    digest
-}
-
-/// Polls a job to a terminal state, panicking on `failed` or timeout.
-fn poll_done(addr: SocketAddr, id: &str) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, _, body) = get(addr, &format!("/v1/jobs/{id}"));
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        let doc = parse_json(&body);
-        match str_of(&doc, "status") {
-            "done" => return doc,
-            "failed" => panic!("job failed: {}", String::from_utf8_lossy(&body)),
-            _ if Instant::now() > deadline => panic!("job never finished"),
-            _ => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
 
 fn stat_u64(addr: SocketAddr, key: &str) -> u64 {
     let (status, _, body) = get(addr, "/v1/stats");
@@ -121,16 +22,6 @@ fn stat_u64(addr: SocketAddr, key: &str) -> u64 {
         .get(key)
         .and_then(Json::as_u64)
         .unwrap_or_else(|| panic!("missing counter `{key}`"))
-}
-
-/// What the batch engine produces for this query string.
-fn batch_reference(dataset: &Dataset, query: &[(&str, &str)], seed: u64) -> Vec<u8> {
-    let pairs: Vec<(String, String)> = query
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    let mechanism: Box<dyn Mechanism> = build_mechanism(Params(&pairs)).expect("valid query");
-    csv_of(&Engine::sequential().protect(mechanism.as_ref(), dataset, seed))
 }
 
 #[test]

@@ -7,29 +7,17 @@
 //! stay byte-identical — while every response carries a distinct trace
 //! id out of band, in a header.
 
-use mobipriv_model::{write_csv, Dataset};
+mod common;
+
+use common::{csv_of, start};
 use mobipriv_obs::scrape;
 use mobipriv_service::client::{header, request_full};
-use mobipriv_service::{Server, ServerConfig, ServerHandle};
 use mobipriv_synth::scenarios;
-
-fn start() -> ServerHandle {
-    Server::bind(ServerConfig::default())
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
-
-fn csv_of(dataset: &Dataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_csv(dataset, &mut out).unwrap();
-    out
-}
 
 #[test]
 fn identical_requests_share_bytes_but_not_trace_ids() {
     let body = csv_of(&scenarios::serving_day(6, 2).dataset);
-    let server = start();
+    let server = start(|_| {});
     let addr = server.addr();
     let target = "/v1/anonymize?mechanism=promesse&alpha=100&seed=3";
 
@@ -70,7 +58,7 @@ fn identical_requests_share_bytes_but_not_trace_ids() {
 #[test]
 fn metrics_endpoint_renders_parsable_prometheus_text() {
     let body = csv_of(&scenarios::serving_day(5, 2).dataset);
-    let server = start();
+    let server = start(|_| {});
     let addr = server.addr();
     let target = "/v1/anonymize?mechanism=promesse&alpha=100&seed=1";
     for _ in 0..3 {
@@ -121,7 +109,7 @@ fn metrics_endpoint_renders_parsable_prometheus_text() {
 #[test]
 fn stats_embeds_the_registry_and_stays_json() {
     let body = csv_of(&scenarios::serving_day(4, 2).dataset);
-    let server = start();
+    let server = start(|_| {});
     let addr = server.addr();
     let (status, _, _) =
         request_full(addr, "POST", "/v1/anonymize?mechanism=raw&seed=0", &body).unwrap();
@@ -149,7 +137,7 @@ fn queue_depth_never_reads_negative_on_fresh_connections() {
     // Each scrape arrives on a fresh connection, so the acceptor's
     // `+1` and the worker's `-1` for that very connection race the
     // render. Counting before the hand-off keeps the gauge at >= 0.
-    let server = start();
+    let server = start(|_| {});
     let addr = server.addr();
     for i in 0..300 {
         let (status, _, body) = request_full(addr, "GET", "/metrics", b"").unwrap();

@@ -7,13 +7,15 @@
 //! in-process socket test pinning the exact store gauge values
 //! `/v1/stats` and `/metrics` report after a known workload.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::{get, parse_json, poll_done, post, register, str_of};
 use mobipriv_eval::Json;
 use mobipriv_model::write_csv;
 use mobipriv_service::{Server, ServerConfig};
@@ -23,69 +25,6 @@ fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mobipriv-persist-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Sends raw bytes, returns (status, lowercased headers, body).
-fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a head/body separator");
-    let head = std::str::from_utf8(&raw[..split]).expect("ASCII head");
-    let body = raw[split + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    // `connection: close` — these helpers read to EOF, and the server
-    // keeps an HTTP/1.1 connection open for its idle timeout otherwise.
-    exchange(
-        addr,
-        format!("GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut request = format!(
-        "POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(body);
-    exchange(addr, &request)
-}
-
-fn parse_json(body: &[u8]) -> Json {
-    Json::parse(std::str::from_utf8(body).expect("UTF-8 JSON")).expect("parseable JSON")
-}
-
-fn str_of<'a>(doc: &'a Json, key: &str) -> &'a str {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("missing string `{key}`"))
-}
-
-fn register(addr: SocketAddr, csv: &[u8]) -> String {
-    let (status, _, body) = post(addr, "/v1/datasets", csv);
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    str_of(&parse_json(&body), "digest").to_owned()
 }
 
 /// `params` is the mechanism portion of the query, e.g.
@@ -99,20 +38,6 @@ fn submit(addr: SocketAddr, digest: &str, params: &str) -> String {
         String::from_utf8_lossy(&body)
     );
     str_of(&parse_json(&body), "id").to_owned()
-}
-
-fn poll_done(addr: SocketAddr, id: &str) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (status, _, body) = get(addr, &format!("/v1/jobs/{id}"));
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        match str_of(&parse_json(&body), "status") {
-            "done" => return,
-            "failed" => panic!("job failed: {}", String::from_utf8_lossy(&body)),
-            _ if Instant::now() > deadline => panic!("job never finished"),
-            _ => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
 }
 
 /// A `mobipriv-serve` child process bound to an ephemeral port.

@@ -4,75 +4,16 @@
 //! quarantine's attempt history — the service-level contracts behind
 //! `DESIGN.md` §14.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use common::{exchange, get, post, start};
 use mobipriv_model::write_csv;
 use mobipriv_service::client::json_str_field;
-use mobipriv_service::{backoff_ms, ChaosConfig, Server, ServerConfig, ServerHandle};
+use mobipriv_service::{backoff_ms, ChaosConfig};
 use mobipriv_synth::scenarios;
-
-fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig::default();
-    configure(&mut config);
-    Server::bind(config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
-
-/// Sends raw bytes, returns (status, lowercased headers, body).
-fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a head/body separator");
-    let head = std::str::from_utf8(&raw[..split]).expect("ASCII head");
-    let body = raw[split + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    // `connection: close` — these helpers read to EOF, and the server
-    // keeps an HTTP/1.1 connection open for its idle timeout otherwise.
-    exchange(
-        addr,
-        format!("GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut request = format!(
-        "POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(body);
-    exchange(addr, &request)
-}
 
 fn workload_csv() -> Vec<u8> {
     let workload = scenarios::serving_day(60, 7);
@@ -248,17 +189,11 @@ fn slow_loris_head_times_out_with_clean_408() {
     // Open a connection and trickle a partial request head, slower than
     // the read budget: the server must answer a clean 408 and close,
     // not hold the worker hostage.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-        .write_all(b"POST /v1/anonymize?mechanism=promesse HTTP/1.1\r\nhost: t\r\n")
-        .unwrap();
     // Never send the blank line; just wait out the deadline.
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("server closes cleanly");
-    let (status, _, _) = parse_response(&raw);
+    let (status, _, _) = exchange(
+        addr,
+        b"POST /v1/anonymize?mechanism=promesse HTTP/1.1\r\nhost: t\r\n",
+    );
     assert_eq!(status, 408, "stalled head maps to Request Timeout");
 
     let after = metric(addr, "mobipriv_client_timeouts_total").unwrap_or(0.0);

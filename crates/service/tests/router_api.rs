@@ -4,6 +4,8 @@
 //! bodies, keyed placement on exactly one shard, per-shard failure
 //! domains, and a bounded upstream connection pool.
 
+mod common;
+
 use std::time::Duration;
 
 use mobipriv_service::{client, Router, RouterConfig, RouterHandle, Server, ServerConfig};
@@ -51,11 +53,9 @@ impl Cluster {
     }
 
     /// Registers `csv` through the router; returns (digest, owner name).
-    fn register(&self, csv: &[u8]) -> (String, String) {
+    fn place(&self, csv: &[u8]) -> (String, String) {
         let addr = self.router_addr();
-        let (status, body) = client::request(addr, "POST", "/v1/datasets", csv).expect("register");
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        let digest = client::json_str_field(&body, "digest").expect("digest field");
+        let digest = common::register(addr, csv);
         let (status, body) =
             client::request(addr, "GET", &format!("/v1/route?key={digest}"), b"").expect("route");
         assert_eq!(status, 200);
@@ -100,7 +100,7 @@ fn router_matches_a_single_node_byte_for_byte() {
         .expect("spawn reference");
     let csv = workload(12);
 
-    let (digest, _) = cluster.register(&csv);
+    let (digest, _) = cluster.place(&csv);
     let (status, body) =
         client::request(reference.addr(), "POST", "/v1/datasets", &csv).expect("register ref");
     assert_eq!(status, 200);
@@ -124,7 +124,7 @@ fn router_matches_a_single_node_byte_for_byte() {
 #[test]
 fn each_dataset_lands_on_exactly_one_shard() {
     let cluster = Cluster::boot(3, |_| {});
-    let (digest, owner) = cluster.register(&workload(8));
+    let (digest, owner) = cluster.place(&workload(8));
     let target = format!("/v1/datasets/{digest}");
     let mut holders = Vec::new();
     for name in &cluster.names {
@@ -143,11 +143,11 @@ fn a_dead_shard_degrades_only_its_own_key_range() {
     let mut cluster = Cluster::boot(3, |_| {});
     // Register datasets until two land on different shards (bounded:
     // placement is ~uniform over 3 shards, and rows vary the digest).
-    let (digest_a, owner_a) = cluster.register(&workload(8));
+    let (digest_a, owner_a) = cluster.place(&workload(8));
     let mut other = None;
     for rows in 9..40 {
         let csv = workload(rows);
-        let (digest, owner) = cluster.register(&csv);
+        let (digest, owner) = cluster.place(&csv);
         if owner != owner_a {
             other = Some((csv, digest));
             break;
@@ -235,7 +235,7 @@ fn router_stats_are_the_sum_of_the_shards() {
     // then a hit) and running one job per dataset to `done`.
     let mut owners = Vec::new();
     for rows in 8..40 {
-        let (digest, owner) = cluster.register(&workload(rows));
+        let (digest, owner) = cluster.place(&workload(rows));
         for _ in 0..2 {
             let target = format!("/v1/anonymize?mechanism=raw&dataset={digest}");
             let (status, _) = client::request(addr, "POST", &target, b"").expect("anonymize");
@@ -296,7 +296,7 @@ fn router_stats_are_the_sum_of_the_shards() {
 
     // A routed response carries the owning shard's trace id and no
     // second one of the router's.
-    let (digest, _) = cluster.register(&workload(8));
+    let (digest, _) = cluster.place(&workload(8));
     let target = format!("/v1/datasets/{digest}");
     let (status, headers, _) = client::request_full(addr, "GET", &target, b"").expect("meta");
     assert_eq!(status, 200);
