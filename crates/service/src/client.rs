@@ -200,9 +200,9 @@ impl Connection {
         content_type: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
-        let mut may_retry = true;
         let status_line = loop {
-            let stale_candidate = self.carried && may_retry;
+            // `disconnect` clears `carried`, so a retry is never retried.
+            let reused = self.carried;
             match self.send(method, target, content_type, body) {
                 Ok(line) => break line,
                 Err(e) => {
@@ -214,10 +214,9 @@ impl Connection {
                             | ErrorKind::ConnectionAborted
                             | ErrorKind::BrokenPipe
                     );
-                    if !(stale_candidate && stale) {
+                    if !(reused && stale) {
                         return Err(e);
                     }
-                    may_retry = false;
                 }
             }
         };

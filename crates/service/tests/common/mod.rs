@@ -32,13 +32,19 @@ pub fn start(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
         .expect("spawn server")
 }
 
-/// Sends raw bytes on a fresh connection and reads one response — for
-/// the malformed, stalled and hand-framed requests the client cannot
-/// send.
+/// Sends raw bytes on a fresh connection, reads one response and
+/// requires the server to close the socket cleanly after it — for the
+/// malformed, stalled and hand-framed requests the client cannot send.
 pub fn exchange(addr: SocketAddr, request: &[u8]) -> Response {
     let mut stream = connect(addr);
     stream.write_all(request).expect("send request");
-    read_framed(&mut stream)
+    let response = read_framed(&mut stream);
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("server closes cleanly");
+    assert!(rest.is_empty(), "bytes after the response: {rest:?}");
+    response
 }
 
 /// A raw connection with a 30 s read timeout.
