@@ -81,8 +81,10 @@ fn seed(root: &Path) -> (String, Vec<u8>) {
     (digest, b"baseline-body".to_vec())
 }
 
-fn ops_in_one_workload() -> Vec<&'static str> {
-    let root = scratch("dry-run");
+/// `case` names the dry run's directory; tests run in parallel in one
+/// process, so each caller needs its own.
+fn ops_in_one_workload(case: &str) -> Vec<&'static str> {
+    let root = scratch(case);
     let counting = FaultInjector::counting();
     let (store, _) = Store::open_with_faults(&root, counting.clone()).expect("open");
     workload(&store).expect("unfaulted workload succeeds");
@@ -93,7 +95,7 @@ fn ops_in_one_workload() -> Vec<&'static str> {
 
 #[test]
 fn the_write_path_has_the_expected_crash_points() {
-    let ops = ops_in_one_workload();
+    let ops = ops_in_one_workload("dry-run-points");
     let blob_path: Vec<&str> = vec![
         "blob_create",   // pre-write: temp file exists, empty
         "blob_write",    // mid-write: torn temp file
@@ -168,7 +170,7 @@ fn assert_recovered_state(
 
 #[test]
 fn every_crash_point_recovers() {
-    let op_count = ops_in_one_workload().len();
+    let op_count = ops_in_one_workload("dry-run-count").len();
     assert_eq!(op_count, 16, "two blob puts + one submission");
     for nth in 0..op_count {
         for mode in [FaultMode::Fail, FaultMode::ShortWrite, FaultMode::Crash] {
