@@ -36,7 +36,8 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
 /// # Errors
 ///
 /// Propagates connect/read/write failures, including a connection
-/// closed before the status line; a response whose status line does
+/// closed before the status line and a reset or read timeout before the
+/// server closes after its response; a response whose status line does
 /// not parse reports status `0` rather than erroring.
 pub fn request<A: ToSocketAddrs>(
     addr: A,
@@ -324,9 +325,10 @@ impl Connection {
         };
         if !self.keep_alive {
             // A one-request connection returns only once the server has
-            // closed it, as a read-to-EOF client would: by then the
-            // server has finished the request, its accounting included.
-            let _ = std::io::copy(reader, &mut std::io::sink());
+            // closed it cleanly, as a read-to-EOF client would: by then
+            // the server has finished the request, its accounting
+            // included. A reset or a read timeout instead is an error.
+            std::io::copy(reader, &mut std::io::sink())?;
             close = true;
         }
         if close {
@@ -469,6 +471,27 @@ mod tests {
         assert_eq!(conn.request("GET", "/a", b"").unwrap().0, 200);
         assert_eq!(conn.request("GET", "/b", b"").unwrap().0, 200);
         assert_eq!((conn.requests(), conn.connects()), (2, 2));
+    }
+
+    #[test]
+    fn a_one_request_connection_must_end_in_a_clean_close() {
+        // A framed answer followed by a clean close is the response.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        answer_once(listener, drop);
+        let (status, body) =
+            request_with_timeout(addr, "GET", "/healthz", b"", READ_TIMEOUT).unwrap();
+        assert_eq!((status, body.as_slice()), (200, &b"ok"[..]));
+
+        // The same answer from a peer that then holds the socket open,
+        // despite `connection: close`, is an error — as it is for a
+        // read-to-EOF client.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (hold, held) = std::sync::mpsc::channel();
+        answer_once(listener, move |stream| hold.send(stream).unwrap());
+        assert!(request_with_timeout(addr, "GET", "/healthz", b"", READ_TIMEOUT).is_err());
+        drop(held);
     }
 
     #[test]
