@@ -61,15 +61,6 @@ impl HomeAttackOutcome {
 }
 
 impl HomeAttack {
-    /// Creates the attack with an explicit stay-point configuration.
-    pub fn new(staypoints: StayPointConfig, tolerance_m: f64) -> Self {
-        HomeAttack {
-            staypoints,
-            tolerance_m,
-            ..HomeAttack::default()
-        }
-    }
-
     /// An attack tuned against a location-perturbation mechanism with
     /// the given expected per-point noise (meters): the adversary knows
     /// the mechanism (Kerckhoffs) and widens its stay-point radius and

@@ -18,7 +18,7 @@ options:
                   parallel engine (output is identical either way; see
                   the engine determinism guarantee)
   --threads N     pin the parallel engine to exactly N worker threads
-                  instead of one per core (Engine::with_workers; output
+                  instead of one per core (Engine::with_threads; output
                   is identical for any N, only resource usage changes)
   -h, --help      print this help
 
@@ -39,7 +39,7 @@ experiments:
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::Full;
-    let mut engine = Engine::parallel();
+    let mut sequential = false;
     let mut threads = None;
     let mut command = None;
     let mut iter = args.iter();
@@ -50,7 +50,7 @@ fn main() {
                 return;
             }
             "--smoke" => scale = ExperimentScale::Smoke,
-            "--sequential" => engine = Engine::sequential(),
+            "--sequential" => sequential = true,
             "--threads" => {
                 let value = iter.next().and_then(|v| v.parse::<usize>().ok());
                 match value {
@@ -72,13 +72,15 @@ fn main() {
             }
         }
     }
-    if let Some(n) = threads {
-        if engine.mode() == mobipriv_core::ExecutionMode::Sequential {
+    let engine = match (sequential, threads) {
+        (false, None) => Engine::parallel(),
+        (false, Some(n)) => Engine::parallel().with_threads(n),
+        (true, None) => Engine::sequential(),
+        (true, Some(_)) => {
             eprintln!("--threads conflicts with --sequential\n\n{USAGE}");
             std::process::exit(2);
         }
-        engine = engine.with_workers(n);
-    }
+    };
     let ctx = ExperimentCtx::with_engine(scale, engine);
     let command = command.unwrap_or_else(|| "all".to_owned());
     match experiments::run_named(&ctx, &command) {

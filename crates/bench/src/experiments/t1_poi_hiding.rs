@@ -7,7 +7,7 @@
 //! 60 % of the POIs even with a high privacy level".
 
 use mobipriv_attacks::PoiAttack;
-use mobipriv_core::{GeoInd, GridGeneralization, Identity, KDelta, Mechanism, Promesse};
+use mobipriv_core::{MechanismSpec, NoiseBudget};
 use mobipriv_metrics::Table;
 use mobipriv_synth::scenarios;
 
@@ -22,20 +22,31 @@ pub fn t1_poi_hiding(scale: ExperimentScale) -> String {
 pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     let (users, days) = ctx.scale().commuter();
     let out = scenarios::commuter_town(users, days, 101);
-    // (mechanism, expected per-point noise the attacker tunes against)
-    let rows: Vec<(Box<dyn Mechanism>, f64)> = vec![
-        (Box::new(Identity), 0.0),
-        (Box::new(Promesse::new(50.0).expect("valid")), 0.0),
-        (Box::new(Promesse::new(100.0).expect("valid")), 0.0),
-        (Box::new(Promesse::new(200.0).expect("valid")), 0.0),
-        (Box::new(GeoInd::new(0.1).expect("valid")), 20.0),
-        (Box::new(GeoInd::new(0.02).expect("valid")), 100.0),
-        (Box::new(GeoInd::new(0.01).expect("valid")), 200.0),
-        (Box::new(KDelta::new(2, 500.0).expect("valid")), 250.0),
-        (
-            Box::new(GridGeneralization::new(250.0).expect("valid")),
-            125.0,
-        ),
+    let rows = [
+        MechanismSpec::Identity,
+        MechanismSpec::Promesse { alpha_m: 50.0 },
+        MechanismSpec::Promesse { alpha_m: 100.0 },
+        MechanismSpec::Promesse { alpha_m: 200.0 },
+        MechanismSpec::GeoInd {
+            epsilon: 0.1,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::GeoInd {
+            epsilon: 0.02,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::GeoInd {
+            epsilon: 0.01,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::KDelta {
+            k: 2,
+            delta_m: 500.0,
+        },
+        MechanismSpec::Grid {
+            cell_m: 250.0,
+            time_round_s: 0.0,
+        },
     ];
     let mut table = Table::new(vec![
         "mechanism",
@@ -45,9 +56,11 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
         "pois/user",
         "pub-traces",
     ]);
-    for (seed, (mechanism, noise)) in rows.iter().enumerate() {
+    for (seed, spec) in rows.iter().enumerate() {
+        let mechanism = spec.build().expect("valid");
         let protected = ctx.protect(mechanism.as_ref(), &out.dataset, 7_000 + seed as u64);
-        let attack = PoiAttack::tuned_for_noise(*noise);
+        // The attacker tunes against the mechanism's expected noise.
+        let attack = PoiAttack::tuned_for_noise(spec.expected_noise_m());
         let outcome = attack.run(&protected, &out.truth);
         let users = outcome.per_user.len().max(1);
         table.row(vec![

@@ -11,9 +11,7 @@
 //! honest (harder-to-fool) owner definition.
 
 use mobipriv_attacks::ReidentAttack;
-use mobipriv_core::{
-    GeoInd, GridGeneralization, Identity, Mechanism, MixZoneConfig, MixZones, Pipeline, Promesse,
-};
+use mobipriv_core::{Mechanism, MechanismSpec, MixZoneConfig, MixZones, NoiseBudget, Pipeline};
 use mobipriv_metrics::Table;
 use mobipriv_model::Dataset;
 use mobipriv_synth::scenarios;
@@ -38,18 +36,22 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     let mut table = Table::new(vec!["mechanism", "link-accuracy", "linked-labels"]);
 
     // Label-preserving mechanisms: identity scoring.
-    let rows: Vec<(Box<dyn Mechanism>, f64)> = vec![
-        (Box::new(Identity), 0.0),
-        (Box::new(Promesse::new(100.0).expect("valid")), 0.0),
-        (Box::new(GeoInd::new(0.01).expect("valid")), 200.0),
-        (
-            Box::new(GridGeneralization::new(250.0).expect("valid")),
-            125.0,
-        ),
+    let rows = [
+        MechanismSpec::Identity,
+        MechanismSpec::Promesse { alpha_m: 100.0 },
+        MechanismSpec::GeoInd {
+            epsilon: 0.01,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::Grid {
+            cell_m: 250.0,
+            time_round_s: 0.0,
+        },
     ];
-    for (seed, (mechanism, noise)) in rows.iter().enumerate() {
+    for (seed, spec) in rows.iter().enumerate() {
+        let mechanism = spec.build().expect("valid");
         let protected = ctx.protect(mechanism.as_ref(), &test, 11_000 + seed as u64);
-        let attack = ReidentAttack::tuned_for_noise(*noise);
+        let attack = ReidentAttack::tuned_for_noise(spec.expected_noise_m());
         let outcome = attack.run(&train, &protected);
         let linked = outcome.links.values().filter(|g| g.is_some()).count();
         table.row(vec![

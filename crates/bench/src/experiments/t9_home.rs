@@ -4,9 +4,8 @@
 //! every mechanism.
 
 use mobipriv_attacks::HomeAttack;
-use mobipriv_core::{GeoInd, GridGeneralization, Identity, Mechanism, Promesse, Pseudonymize};
+use mobipriv_core::{MechanismSpec, NoiseBudget};
 use mobipriv_metrics::Table;
-use mobipriv_poi::StayPointConfig;
 use mobipriv_synth::scenarios;
 
 use super::common::{ExperimentCtx, ExperimentScale};
@@ -20,32 +19,29 @@ pub fn t9_home(scale: ExperimentScale) -> String {
 pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     let (users, days) = ctx.scale().commuter();
     let out = scenarios::commuter_town(users, days, 909);
-    let rows: Vec<(Box<dyn Mechanism>, f64)> = vec![
-        (Box::new(Identity), 0.0),
-        (Box::new(Pseudonymize::new()), 0.0),
-        (Box::new(Promesse::new(100.0).expect("valid")), 0.0),
-        (Box::new(GeoInd::new(0.1).expect("valid")), 20.0),
-        (Box::new(GeoInd::new(0.01).expect("valid")), 200.0),
-        (
-            Box::new(GridGeneralization::new(250.0).expect("valid")),
-            125.0,
-        ),
+    let rows = [
+        MechanismSpec::Identity,
+        MechanismSpec::Pseudonymize { per_trace: false },
+        MechanismSpec::Promesse { alpha_m: 100.0 },
+        MechanismSpec::GeoInd {
+            epsilon: 0.1,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::GeoInd {
+            epsilon: 0.01,
+            budget: NoiseBudget::PerPoint,
+        },
+        MechanismSpec::Grid {
+            cell_m: 250.0,
+            time_round_s: 0.0,
+        },
     ];
     let mut table = Table::new(vec!["mechanism", "homes-found", "accuracy"]);
-    for (seed, (mechanism, noise)) in rows.iter().enumerate() {
+    for (seed, spec) in rows.iter().enumerate() {
+        let mechanism = spec.build().expect("valid");
         let protected = ctx.protect(mechanism.as_ref(), &out.dataset, 19_000 + seed as u64);
         // Tune the stay detector like the POI attack does.
-        let attack = if *noise > 0.0 {
-            HomeAttack::new(
-                StayPointConfig {
-                    max_radius_m: 100.0 + 2.5 * noise,
-                    ..StayPointConfig::default()
-                },
-                250.0 + noise,
-            )
-        } else {
-            HomeAttack::default()
-        };
+        let attack = HomeAttack::tuned_for_noise(spec.expected_noise_m());
         let outcome = attack.run(&protected, &out.truth);
         table.row(vec![
             mechanism.name(),

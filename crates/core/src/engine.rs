@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use mobipriv_model::digest::mix64;
 use mobipriv_model::{Dataset, Trace, UserId};
@@ -159,16 +158,6 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// How the engine schedules per-trace kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One trace at a time on the calling thread.
-    Sequential,
-    /// Traces fanned out across cores (the default).
-    #[default]
-    Parallel,
-}
-
 /// Deterministic context handed to a
 /// [`TraceKernel`](crate::TraceKernel) alongside the trace.
 ///
@@ -207,65 +196,85 @@ pub fn derive_user_token(experiment_seed: u64, user: UserId) -> u64 {
     mix64(mix64(experiment_seed ^ 0x1319_8A2E_0370_7344 ^ 0xA409_3822_299F_31D0) ^ user.get())
 }
 
+/// Maps `f` over `items` (with each item's index) on up to `threads`
+/// scoped worker threads — `None` means one per core — and returns the
+/// results in input order.
+///
+/// Each worker takes one contiguous chunk of the input, so the output
+/// never depends on the thread count; with one thread, or at most one
+/// item, everything runs on the calling thread.
+///
+/// # Panics
+///
+/// Re-raises a panic of `f` on the calling thread.
+pub fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: Option<usize>,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+        .clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    let chunk = items.len().div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(c, part)| {
+                scope.spawn(move || {
+                    let base = c * chunk;
+                    let results = part.iter().enumerate().map(|(i, item)| f(base + i, item));
+                    results.collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        let joined = workers.into_iter().map(|worker| match worker.join() {
+            Ok(results) => results,
+            Err(panic) => std::panic::resume_unwind(panic),
+        });
+        joined.flatten().collect()
+    })
+}
+
 /// Dataset-level driver for mechanism execution (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Engine {
-    mode: ExecutionMode,
+    /// Worker threads of the per-trace fan-out; `None` = one per core.
     threads: Option<usize>,
 }
 
 impl Engine {
     /// An engine that fans per-trace kernels out across cores.
     pub fn parallel() -> Self {
-        Engine {
-            mode: ExecutionMode::Parallel,
-            threads: None,
-        }
+        Engine { threads: None }
     }
 
     /// An engine that runs everything on the calling thread — the
     /// reference schedule parallel output is asserted against.
     pub fn sequential() -> Self {
-        Engine {
-            mode: ExecutionMode::Sequential,
-            threads: None,
-        }
+        Engine { threads: Some(1) }
     }
 
-    /// Pins the parallel fan-out to exactly `n` worker threads instead
-    /// of one per core. Output is unaffected (the determinism guarantee
-    /// is schedule-independent); use this to bound resource usage, or
-    /// in tests to force real fan-out on single-core machines.
+    /// Pins the fan-out to exactly `n` worker threads instead of one
+    /// per core (`repro --threads`, `mobipriv-serve --engine-threads`).
+    /// Output is unaffected (the determinism guarantee is
+    /// schedule-independent); use this to bound resource usage, or in
+    /// tests to force real fan-out on single-core machines.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn with_threads(mut self, n: usize) -> Self {
+    pub fn with_threads(self, n: usize) -> Self {
         assert!(n > 0, "Engine::with_threads: n must be positive");
-        self.threads = Some(n);
-        self
-    }
-
-    /// Alias for [`Engine::with_threads`] under the service/CLI
-    /// vocabulary (`repro --threads`, `mobipriv-serve
-    /// --engine-threads`): pins the fan-out to `n` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_workers(self, n: usize) -> Self {
-        self.with_threads(n)
-    }
-
-    /// The pinned worker count, or `None` when the engine uses one
-    /// thread per core.
-    pub fn workers(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The configured scheduling mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        Engine { threads: Some(n) }
     }
 
     /// Protects `dataset` with `mechanism` under `seed`.
@@ -273,7 +282,7 @@ impl Engine {
     /// Per-trace mechanisms run through their kernel with one RNG
     /// stream per trace (see [`trace_seed`]); dataset-level mechanisms
     /// run through [`Mechanism::protect`] with a single stream seeded
-    /// from `seed`. Output is identical across [`ExecutionMode`]s.
+    /// from `seed`. Output is identical for every thread count.
     ///
     /// When global observability is on (the default; see
     /// [`mobipriv_obs::set_enabled`]), each run records its wall time
@@ -358,7 +367,7 @@ impl Engine {
         }
         match mechanism.as_trace_kernel() {
             Some(kernel) => {
-                let run = |(index, trace): (usize, &Trace)| -> Option<Trace> {
+                let run = |index: usize, trace: &Trace| -> Option<Trace> {
                     // A skipped kernel is only observable through the
                     // final cancellation check below turning the whole
                     // run into Err — never through a hole in an Ok
@@ -373,18 +382,7 @@ impl Engine {
                     let mut rng = StdRng::seed_from_u64(trace_seed(seed, trace.user(), index));
                     kernel.protect_trace(trace, &ctx, &mut rng)
                 };
-                let protected: Vec<Option<Trace>> = match self.mode {
-                    ExecutionMode::Sequential => {
-                        dataset.traces().iter().enumerate().map(run).collect()
-                    }
-                    ExecutionMode::Parallel => {
-                        let fan_out = || dataset.traces().par_iter().enumerate().map(run).collect();
-                        match self.threads {
-                            Some(n) => rayon::with_num_threads(n, fan_out),
-                            None => fan_out(),
-                        }
-                    }
-                };
+                let protected = fan_out(dataset.traces(), self.threads, run);
                 if cancel.is_cancelled() {
                     return Err(Cancelled);
                 }
@@ -606,6 +604,17 @@ mod tests {
         token.cancel();
         assert!(!token.is_cancelled());
         assert_eq!(token.budget(), None);
+    }
+
+    #[test]
+    fn fan_out_keeps_input_order_for_any_thread_count() {
+        let items: Vec<u64> = (0..1_001).collect();
+        let expected: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
+        // More threads than items included: the split clamps.
+        for threads in [None, Some(1), Some(2), Some(7), Some(5_000)] {
+            assert_eq!(fan_out(&items, threads, |i, &x| (i, x * 3)), expected);
+            assert!(fan_out(&items[..0], threads, |_, &x| x).is_empty());
+        }
     }
 
     #[test]

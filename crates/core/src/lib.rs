@@ -63,9 +63,10 @@ mod mechanism;
 mod mixzone;
 mod pipeline;
 mod promesse;
+mod spec;
 
 pub use engine::{
-    derive_user_token, trace_seed, CancelToken, Cancelled, Engine, ExecutionMode, TraceCtx,
+    derive_user_token, fan_out, trace_seed, CancelToken, Cancelled, Engine, TraceCtx,
 };
 pub use error::CoreError;
 pub use geoind::{GeoInd, NoiseBudget};
@@ -75,3 +76,4 @@ pub use mechanism::{Identity, Mechanism, Pseudonymize, TraceKernel};
 pub use mixzone::{detect_mix_zones, MixZone, MixZoneConfig, MixZones, SwapReport};
 pub use pipeline::Pipeline;
 pub use promesse::Promesse;
+pub use spec::MechanismSpec;

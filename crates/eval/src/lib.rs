@@ -11,9 +11,9 @@
 //! * [`EvalPlan`] — the declarative cross-product: scenario presets ×
 //!   mechanism configurations (including parameter sweeps) × seeds;
 //! * [`evaluate`] / [`evaluate_with`] — the runner: cells fan out
-//!   across cores on `mobipriv_core::Engine`, each under a seed derived
-//!   from the cell's *names*, so the whole matrix is bit-deterministic
-//!   for any thread count;
+//!   across cores through `mobipriv_core::fan_out`, each under a seed
+//!   derived from the cell's *names*, so the whole matrix is
+//!   bit-deterministic for any thread count;
 //! * [`EvalReport`] — the schema-versioned JSON output (std-only writer
 //!   *and* parser — no serialization dependency), with per-cell
 //!   published-dataset digests;
@@ -49,6 +49,7 @@ mod report;
 mod runner;
 
 pub use json::{Json, JsonError};
-pub use plan::{EvalPlan, MechanismSpec, ScenarioSpec};
+pub use mobipriv_core::MechanismSpec;
+pub use plan::{EvalPlan, ScenarioSpec};
 pub use report::{EvalCell, EvalReport, SCHEMA_VERSION};
 pub use runner::{evaluate, evaluate_with};

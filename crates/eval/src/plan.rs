@@ -5,12 +5,11 @@
 //! Both axes are data, not code: a spec names a preset plus its
 //! parameters, builds the concrete generator/mechanism on demand, and
 //! carries a stable machine id that the golden corpus, the CLI filters
-//! and the `/v1/evaluate` query parameters all key on.
+//! and the `/v1/evaluate` query parameters all key on. The mechanism
+//! axis is `mobipriv_core`'s [`MechanismSpec`], the one the service
+//! and the reproduction tables also run.
 
-use mobipriv_core::{
-    GeoInd, GridGeneralization, Identity, KDelta, Mechanism, MixZoneConfig, MixZones, Pipeline,
-    Promesse, Pseudonymize,
-};
+use mobipriv_core::{MechanismSpec, NoiseBudget};
 use mobipriv_synth::{scenarios, SynthOutput};
 
 /// One synthetic workload of the matrix.
@@ -89,107 +88,6 @@ impl ScenarioSpec {
     }
 }
 
-/// One mechanism configuration of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MechanismSpec {
-    /// Raw publication (the baseline every attack should win against).
-    Identity,
-    /// Per-user random pseudonyms, locations untouched.
-    Pseudonymize,
-    /// Promesse speed smoothing at `alpha_m` meters.
-    Promesse {
-        /// Spatial smoothing interval α, meters.
-        alpha_m: f64,
-    },
-    /// Planar-Laplace geo-indistinguishability at `epsilon` (1/m).
-    GeoInd {
-        /// Privacy parameter ε, per meter.
-        epsilon: f64,
-    },
-    /// Spatial generalization to a `cell_m`-meter grid.
-    Grid {
-        /// Cell side, meters.
-        cell_m: f64,
-    },
-    /// Mix-zone identifier swapping with default zone parameters.
-    MixZones,
-    /// (k, δ)-anonymity by trajectory clustering.
-    KDelta {
-        /// Minimum cluster size k.
-        k: usize,
-        /// Spatial tolerance δ, meters.
-        delta_m: f64,
-    },
-    /// The paper's full pipeline: smoothing then swapping.
-    Pipeline {
-        /// Promesse α, meters.
-        alpha_m: f64,
-    },
-}
-
-impl MechanismSpec {
-    /// The stable machine id (golden-corpus key, CLI filter,
-    /// query-parameter value). Parameters are part of the id, so an
-    /// α-sweep yields distinct cells.
-    pub fn id(&self) -> String {
-        match self {
-            MechanismSpec::Identity => "raw".to_owned(),
-            MechanismSpec::Pseudonymize => "pseudonymize".to_owned(),
-            MechanismSpec::Promesse { alpha_m } => format!("promesse_a{alpha_m}"),
-            MechanismSpec::GeoInd { epsilon } => format!("geoind_e{epsilon}"),
-            MechanismSpec::Grid { cell_m } => format!("grid_c{cell_m}"),
-            MechanismSpec::MixZones => "mixzones".to_owned(),
-            MechanismSpec::KDelta { k, delta_m } => format!("kdelta_k{k}_d{delta_m}"),
-            MechanismSpec::Pipeline { alpha_m } => format!("pipeline_a{alpha_m}"),
-        }
-    }
-
-    /// Builds the concrete mechanism.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid parameters — plans are authored in code (or
-    /// validated at the CLI/service boundary), so a bad parameter is a
-    /// programming error, not runtime input.
-    pub fn build(&self) -> Box<dyn Mechanism> {
-        match *self {
-            MechanismSpec::Identity => Box::new(Identity),
-            MechanismSpec::Pseudonymize => Box::new(Pseudonymize::new()),
-            MechanismSpec::Promesse { alpha_m } => {
-                Box::new(Promesse::new(alpha_m).expect("valid alpha"))
-            }
-            MechanismSpec::GeoInd { epsilon } => Box::new(GeoInd::new(epsilon).expect("valid ε")),
-            MechanismSpec::Grid { cell_m } => {
-                Box::new(GridGeneralization::new(cell_m).expect("valid cell"))
-            }
-            MechanismSpec::MixZones => {
-                Box::new(MixZones::new(MixZoneConfig::default()).expect("valid default config"))
-            }
-            MechanismSpec::KDelta { k, delta_m } => {
-                Box::new(KDelta::new(k, delta_m).expect("valid (k, δ)"))
-            }
-            MechanismSpec::Pipeline { alpha_m } => {
-                Box::new(Pipeline::new(alpha_m, MixZoneConfig::default()).expect("valid pipeline"))
-            }
-        }
-    }
-
-    /// Expected per-point location error, meters — what a
-    /// Kerckhoffs-aware adversary tunes for
-    /// (`PoiAttack::tuned_for_noise`). Zero for mechanisms that do not
-    /// perturb locations.
-    pub fn expected_noise_m(&self) -> f64 {
-        match *self {
-            // Planar Laplace: E[‖noise‖] = 2/ε.
-            MechanismSpec::GeoInd { epsilon } => 2.0 / epsilon,
-            // Snapping to a c-meter grid moves a point at most c/√2.
-            MechanismSpec::Grid { cell_m } => cell_m / 2.0,
-            MechanismSpec::KDelta { delta_m, .. } => delta_m / 2.0,
-            _ => 0.0,
-        }
-    }
-}
-
 /// The declarative evaluation matrix: scenarios × mechanisms × seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalPlan {
@@ -256,19 +154,35 @@ impl EvalPlan {
     fn mechanism_matrix() -> Vec<MechanismSpec> {
         vec![
             MechanismSpec::Identity,
-            MechanismSpec::Pseudonymize,
+            MechanismSpec::Pseudonymize { per_trace: false },
             MechanismSpec::Promesse { alpha_m: 50.0 },
             MechanismSpec::Promesse { alpha_m: 100.0 },
             MechanismSpec::Promesse { alpha_m: 200.0 },
-            MechanismSpec::GeoInd { epsilon: 0.1 },
-            MechanismSpec::GeoInd { epsilon: 0.01 },
-            MechanismSpec::Grid { cell_m: 250.0 },
-            MechanismSpec::MixZones,
+            MechanismSpec::GeoInd {
+                epsilon: 0.1,
+                budget: NoiseBudget::PerPoint,
+            },
+            MechanismSpec::GeoInd {
+                epsilon: 0.01,
+                budget: NoiseBudget::PerPoint,
+            },
+            MechanismSpec::Grid {
+                cell_m: 250.0,
+                time_round_s: 0.0,
+            },
+            MechanismSpec::MixZones {
+                radius_m: 100.0,
+                window_s: 300.0,
+            },
             MechanismSpec::KDelta {
                 k: 2,
                 delta_m: 500.0,
             },
-            MechanismSpec::Pipeline { alpha_m: 100.0 },
+            MechanismSpec::Pipeline {
+                alpha_m: 100.0,
+                radius_m: 100.0,
+                window_s: 300.0,
+            },
         ]
     }
 
@@ -337,7 +251,7 @@ mod tests {
     #[test]
     fn every_spec_builds() {
         for spec in EvalPlan::smoke().mechanisms {
-            let mechanism = spec.build();
+            let mechanism = spec.build().expect("plan specs are valid");
             assert!(!mechanism.name().is_empty(), "{}", spec.id());
         }
     }
@@ -355,7 +269,10 @@ mod tests {
 
     #[test]
     fn noise_tuning_matches_the_paper_settings() {
-        let spec = MechanismSpec::GeoInd { epsilon: 0.01 };
+        let spec = MechanismSpec::GeoInd {
+            epsilon: 0.01,
+            budget: NoiseBudget::PerPoint,
+        };
         assert!((spec.expected_noise_m() - 200.0).abs() < 1e-9);
         assert_eq!(MechanismSpec::Identity.expected_noise_m(), 0.0);
     }

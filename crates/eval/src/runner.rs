@@ -18,15 +18,13 @@
 //! bit-identical for any `--threads` value, which the property suite
 //! asserts and the golden corpus pins.
 
-use rayon::prelude::*;
-
 use mobipriv_attacks::{HomeAttack, PoiAttack, ReidentAttack, Tracker};
-use mobipriv_core::Engine;
+use mobipriv_core::{fan_out, Engine, MechanismSpec};
 use mobipriv_metrics::{coverage, spatial, trips};
 use mobipriv_synth::SynthOutput;
 
 use crate::digest::{cell_seed, dataset_digest};
-use crate::plan::{EvalPlan, MechanismSpec, ScenarioSpec};
+use crate::plan::{EvalPlan, ScenarioSpec};
 use crate::report::{EvalCell, EvalReport, SCHEMA_VERSION};
 
 /// Grid-cell size for the coverage metric, meters (matches the service
@@ -57,15 +55,11 @@ pub fn evaluate_with(plan: &EvalPlan, threads: Option<usize>) -> EvalReport {
         .iter()
         .flat_map(|world| plan.mechanisms.iter().map(move |m| (world, m)))
         .collect();
-    let run = |job: &(&(ScenarioSpec, u64, SynthOutput), &MechanismSpec)| {
-        let ((scenario, seed, world), mechanism) = job;
-        run_cell(*scenario, *seed, world, mechanism)
-    };
-    let fan_out = || jobs.par_iter().map(run).collect::<Vec<EvalCell>>();
-    let mut cells = match threads {
-        Some(n) => rayon::with_num_threads(n.max(1), fan_out),
-        None => fan_out(),
-    };
+    let mut cells = fan_out(
+        &jobs,
+        threads,
+        |_, &((scenario, seed, world), mechanism)| run_cell(*scenario, *seed, world, mechanism),
+    );
     cells.sort_by(|a, b| {
         (&a.scenario, &a.mechanism, a.seed).cmp(&(&b.scenario, &b.mechanism, b.seed))
     });
@@ -106,7 +100,7 @@ fn run_cell(
     let started = std::time::Instant::now();
     let mechanism_id = mechanism.id();
     let cseed = cell_seed(seed, scenario.name(), &mechanism_id);
-    let built = timed_stage("build", || mechanism.build());
+    let built = timed_stage("build", || mechanism.build().expect("plan specs are valid"));
     // The engine runs sequentially *within* a cell — the harness
     // parallelizes at cell granularity, and engine output is
     // schedule-independent anyway, so nothing changes but the thread

@@ -165,7 +165,7 @@ fn main() {
             },
             "--data-dir" => config.data_dir = Some(std::path::PathBuf::from(value(i))),
             "--engine-threads" => match value(i).parse() {
-                Ok(n) if n > 0 => config.engine = Engine::parallel().with_workers(n),
+                Ok(n) if n > 0 => config.engine = Engine::parallel().with_threads(n),
                 _ => fail("--engine-threads expects a positive integer"),
             },
             "--compute-timeout-ms" => match value(i).parse::<u64>() {

@@ -30,7 +30,7 @@ use crate::compute;
 use crate::datasets::Registered;
 use crate::http::RequestHead;
 use crate::jobs::{JobKind, JobSpec, JobStatus, Submitted};
-use crate::registry::{mechanisms_json, resolve_mechanism, Params};
+use crate::registry::{mechanisms_json, parse_spec, resolve_mechanism, Params};
 use crate::server::{Body, RequestBody, Response, Service};
 use crate::state::AppState;
 use crate::telemetry::stats_json;
@@ -390,8 +390,10 @@ fn dataset_meta(digest: &str, state: &AppState) -> Result<Response, ServiceError
 ///
 /// Submits async work against a registered dataset. The job id is the
 /// content address of the work — identical submissions coalesce onto
-/// one job and one computation. Answers `202 Accepted` while the job
-/// is queued or running, `200` when the result is already available.
+/// one job and one computation. A fresh job answers `202 Accepted`
+/// with its document as enqueued; a coalesced or cached submission
+/// reports the job's live state: `202` while it is queued or running,
+/// `200` when the result is already available.
 fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceError> {
     let params = Params(&head.query);
     let digest = params
@@ -409,7 +411,8 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
             )))
         }
     };
-    let resolved = resolve_mechanism(params)?; // validates before enqueueing
+    let mechanism = parse_spec(params)?;
+    mechanism.build()?; // validates before enqueueing
     let seed: u64 = params.parse_or("seed", 0)?;
     let report = kind == JobKind::Anonymize && wants_report(params);
     let timeout_ms = timeout_ms(params)?;
@@ -418,7 +421,7 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     let canonical = compute::canonical_key(
         kind.name(),
         &entry.digest,
-        &resolved.canonical,
+        &mechanism.canonical(),
         seed,
         report,
         WireFormat::Csv,
@@ -426,8 +429,7 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     let spec = JobSpec {
         kind,
         dataset: entry,
-        query: head.query.clone(),
-        mechanism_canonical: resolved.canonical,
+        mechanism,
         seed,
         report,
         canonical,
@@ -442,8 +444,15 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     } else {
         state.jobs.submit(spec, /* result_evicted= */ true)?
     };
-    let done = job.status() == JobStatus::Done;
-    let mut doc = match job.to_json() {
+    // A fresh job answers as enqueued: an executor may already have
+    // picked it up, but this response reports the submission.
+    let (done, doc) = match submitted {
+        Submitted::Enqueued => (false, job.queued_json()),
+        Submitted::Coalesced | Submitted::Cached => {
+            (job.status() == JobStatus::Done, job.to_json())
+        }
+    };
+    let mut doc = match doc {
         Json::Obj(members) => members,
         _ => unreachable!("job status document is an object"),
     };

@@ -35,6 +35,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use mobipriv_core::MechanismSpec;
 use mobipriv_eval::Json;
 use mobipriv_model::digest::{fnv1a64, mix64};
 use mobipriv_obs::logging::{self, FieldValue};
@@ -43,7 +44,6 @@ use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 use crate::cache::{result_key, CacheOutcome};
 use crate::compute;
 use crate::datasets::DatasetEntry;
-use crate::registry::{resolve_mechanism, Params};
 use crate::state::AppState;
 use crate::ServiceError;
 
@@ -70,9 +70,10 @@ impl JobKind {
 }
 
 /// Job lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobStatus {
     /// Accepted, waiting for an executor.
+    #[default]
     Queued,
     /// An executor is computing (or joining an in-flight computation).
     Running,
@@ -102,10 +103,8 @@ pub struct JobSpec {
     pub kind: JobKind,
     /// The registered dataset (pinned from submission).
     pub dataset: Arc<DatasetEntry>,
-    /// Decoded query pairs, kept to rebuild the mechanism executor-side.
-    pub query: Vec<(String, String)>,
-    /// Canonical mechanism parameter string.
-    pub mechanism_canonical: String,
+    /// What the executor builds and runs.
+    pub mechanism: MechanismSpec,
     /// Request seed.
     pub seed: u64,
     /// Whether the anonymize result carries utility-report headers.
@@ -128,7 +127,7 @@ struct Attempt {
     backoff_ms: Option<u64>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct JobState {
     status: JobStatus,
     progress: f64,
@@ -158,15 +157,7 @@ impl Job {
         Job {
             id: result_key(&spec.canonical),
             spec,
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                progress: 0.0,
-                error: None,
-                wall_ms: 0.0,
-                cache: None,
-                trace: None,
-                attempts: Vec::new(),
-            }),
+            state: Mutex::new(JobState::default()),
         }
     }
 
@@ -186,7 +177,17 @@ impl Job {
 
     /// The status document `GET /v1/jobs/:id` serves.
     pub fn to_json(&self) -> Json {
-        let state = self.state();
+        self.document(self.state())
+    }
+
+    /// The status document as it stood when the job was enqueued — what
+    /// a fresh submission reports, however far an executor has taken
+    /// the job since.
+    pub(crate) fn queued_json(&self) -> Json {
+        self.document(JobState::default())
+    }
+
+    fn document(&self, state: JobState) -> Json {
         let mut members = vec![
             ("id".into(), Json::Str(self.id.clone())),
             ("kind".into(), Json::Str(self.spec.kind.name().into())),
@@ -198,7 +199,7 @@ impl Job {
             ),
             (
                 "mechanism".into(),
-                Json::Str(self.spec.mechanism_canonical.clone()),
+                Json::Str(self.spec.mechanism.canonical()),
             ),
             ("seed".into(), Json::UInt(self.spec.seed)),
             (
@@ -468,15 +469,16 @@ fn cache_attempt(
     let spec = &job.spec;
     state.results.get_or_compute(&spec.canonical, || {
         state.guarded_compute(&spec.canonical, budget, |cancel| {
-            // Rebuilding the mechanism from the stored query keeps the
-            // job spec `Send` without demanding it of `dyn Mechanism`.
-            let resolved = resolve_mechanism(Params(&spec.query))?;
+            // Building the mechanism from the stored spec keeps the job
+            // spec `Send` without demanding it of `dyn Mechanism`.
+            let mechanism = spec.mechanism.build()?;
+            let mechanism_canonical = spec.mechanism.canonical();
             match spec.kind {
                 JobKind::Anonymize => compute::anonymize_result(
                     &spec.canonical,
                     &spec.dataset.dataset,
-                    resolved.mechanism.as_ref(),
-                    &resolved.canonical,
+                    mechanism.as_ref(),
+                    &mechanism_canonical,
                     spec.seed,
                     spec.report,
                     mobipriv_model::WireFormat::Csv,
@@ -489,8 +491,8 @@ fn cache_attempt(
                     &spec.canonical,
                     &spec.dataset.digest,
                     &spec.dataset.dataset,
-                    resolved.mechanism.as_ref(),
-                    &resolved.canonical,
+                    mechanism.as_ref(),
+                    &mechanism_canonical,
                     spec.seed,
                     &state.engine,
                     cancel,
@@ -669,12 +671,10 @@ mod tests {
     }
 
     fn spec(seed: u64) -> JobSpec {
-        let query = vec![("mechanism".to_owned(), "raw".to_owned())];
         JobSpec {
             kind: JobKind::Anonymize,
             dataset: entry(),
-            query,
-            mechanism_canonical: "raw".into(),
+            mechanism: MechanismSpec::Identity,
             seed,
             report: false,
             canonical: compute::canonical_key(
@@ -716,23 +716,26 @@ mod tests {
     #[test]
     fn failed_jobs_report_and_can_retry() {
         let (state, receiver) = test_state(ResilienceConfig::default(), None);
-        let mut bad = spec(3);
-        bad.query = vec![("mechanism".to_owned(), "warp-drive".to_owned())];
-        let (job, _) = state.jobs.submit(bad, false).unwrap();
+        let bad = || JobSpec {
+            mechanism: MechanismSpec::Promesse { alpha_m: -5.0 },
+            ..spec(3)
+        };
+        let (job, _) = state.jobs.submit(bad(), false).unwrap();
         run_job(&receiver.try_recv().unwrap(), &state);
         assert_eq!(job.status(), JobStatus::Failed);
         let mut text = String::new();
         job.to_json().write(&mut text);
         assert!(text.contains("\"status\":\"failed\""), "{text}");
-        assert!(text.contains("unknown mechanism"), "{text}");
+        assert!(
+            text.contains("must be strictly positive and finite, got -5"),
+            "{text}"
+        );
         // A permanent error fails on the first attempt — no retries.
         assert!(text.contains("\"transient\":false"), "{text}");
         assert!(!text.contains("backoff_ms"), "{text}");
         assert_eq!(state.metrics.retries_total.get(), 0);
         // Resubmission of a failed id enqueues a fresh attempt.
-        let mut retry = spec(3);
-        retry.query = vec![("mechanism".to_owned(), "warp-drive".to_owned())];
-        let (_, submitted) = state.jobs.submit(retry, false).unwrap();
+        let (_, submitted) = state.jobs.submit(bad(), false).unwrap();
         assert_eq!(submitted, Submitted::Enqueued);
     }
 

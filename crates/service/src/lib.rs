@@ -101,7 +101,7 @@ pub use chaos::{ChaosConfig, ChaosInjector};
 pub use datasets::DatasetRegistry;
 pub use error::ServiceError;
 pub use jobs::{backoff_ms, JobBoard, JobKind, JobStatus};
-pub use registry::{build_mechanism, resolve_mechanism, MechanismInfo, MECHANISMS};
+pub use registry::{parse_spec, resolve_mechanism, MechanismInfo, MECHANISMS};
 pub use router::{rendezvous_owner, rendezvous_rank, Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::AppState;

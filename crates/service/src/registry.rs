@@ -1,5 +1,5 @@
-//! The mechanism registry: maps `?mechanism=…` query parameters onto
-//! `mobipriv_core` mechanism instances, and renders the catalogue for
+//! The mechanism registry: parses `?mechanism=…` query parameters into
+//! a `mobipriv_core` [`MechanismSpec`], and renders the catalogue for
 //! `GET /v1/mechanisms`.
 //!
 //! Every knob is a plain query parameter with a documented default, so
@@ -7,11 +7,7 @@
 //! request body schema. Parameter validation errors surface as 400s
 //! with the offending name and value.
 
-use mobipriv_core::{
-    GeoInd, GridGeneralization, Identity, KDelta, Mechanism, MixZoneConfig, MixZones, NoiseBudget,
-    Pipeline, Promesse, Pseudonymize,
-};
-use mobipriv_geo::Seconds;
+use mobipriv_core::{Mechanism, MechanismSpec, MixZoneConfig, NoiseBudget};
 
 use crate::ServiceError;
 
@@ -117,96 +113,65 @@ impl<'a> Params<'a> {
     }
 }
 
-/// Builds the mechanism selected by `mechanism=` plus its parameters.
-///
-/// # Errors
-///
-/// Returns [`ServiceError::BadRequest`] when the parameter is missing,
-/// names an unknown mechanism, or carries invalid values (the
-/// `CoreError` from the mechanism constructor is passed through).
-pub fn build_mechanism(params: Params<'_>) -> Result<Box<dyn Mechanism>, ServiceError> {
-    resolve_mechanism(params).map(|r| r.mechanism)
-}
-
 /// A mechanism together with the canonical form of its parameters —
 /// the piece of the result-cache key that identifies *what* runs.
 pub struct ResolvedMechanism {
     /// The constructed mechanism.
     pub mechanism: Box<dyn Mechanism>,
-    /// Canonical parameter serialization: mechanism name followed by
-    /// every knob in a fixed order with its *resolved* value (defaults
-    /// made explicit, numbers printed through Rust's shortest
-    /// round-trip `Display`). Two queries get the same canonical string
-    /// iff they build the same mechanism — `alpha=100`, `alpha=100.0`
-    /// and an omitted default all canonicalize to `alpha=100` — and
-    /// distinct resolved parameters always produce distinct strings
-    /// (`Display` on `f64`/`usize` is injective), which is what makes
-    /// the string safe to key a content-addressed cache with. The
-    /// injectivity proptests in `tests/properties_service.rs` pin this.
+    /// [`MechanismSpec::canonical`] of the parsed spec: defaults made
+    /// explicit, so `alpha=100`, `alpha=100.0` and an omitted default
+    /// all canonicalize to `alpha=100`, while distinct parameters never
+    /// share a string. The injectivity proptests in
+    /// `tests/properties_service.rs` pin this.
     pub canonical: String,
 }
 
-/// Builds the mechanism *and* its canonical parameter string.
+/// Parses `mechanism=` plus its parameters into a [`MechanismSpec`],
+/// filling in the documented defaults. Knob ranges are checked by
+/// [`MechanismSpec::build`], except `time_round`, whose wording is the
+/// service's own.
 ///
 /// # Errors
 ///
-/// Same surface as [`build_mechanism`].
-pub fn resolve_mechanism(params: Params<'_>) -> Result<ResolvedMechanism, ServiceError> {
+/// Returns [`ServiceError::BadRequest`] when the parameter is missing,
+/// names an unknown mechanism, or a value does not parse.
+pub fn parse_spec(params: Params<'_>) -> Result<MechanismSpec, ServiceError> {
     let name = params
         .get("mechanism")
         .ok_or_else(|| ServiceError::BadRequest("missing required parameter `mechanism`".into()))?;
-    let (mechanism, canonical): (Box<dyn Mechanism>, String) = match name {
-        "raw" | "identity" => (Box::new(Identity), "raw".to_owned()),
-        "pseudonymize" => {
-            let per = match params.get("per").unwrap_or("user") {
-                "user" => "user",
-                "trace" => "trace",
+    let zones = MixZoneConfig::default();
+    let radius_m = || params.parse_or("radius", zones.radius_m);
+    let window_s = || params.parse_or("window", zones.zone_window.get());
+    Ok(match name {
+        "raw" | "identity" => MechanismSpec::Identity,
+        "pseudonymize" => MechanismSpec::Pseudonymize {
+            per_trace: match params.get("per").unwrap_or("user") {
+                "user" => false,
+                "trace" => true,
                 other => {
                     return Err(ServiceError::BadRequest(format!(
                         "invalid value `{other}` for parameter `per` (expected user|trace)"
                     )))
                 }
-            };
-            let mechanism = if per == "trace" {
-                Pseudonymize::new().per_trace()
-            } else {
-                Pseudonymize::new()
-            };
-            (Box::new(mechanism), format!("pseudonymize per={per}"))
-        }
-        "promesse" => {
-            let alpha: f64 = params.parse_or("alpha", 100.0)?;
-            (
-                Box::new(Promesse::new(alpha)?),
-                format!("promesse alpha={alpha}"),
-            )
-        }
-        "geoind" => {
-            let epsilon: f64 = params.parse_or("epsilon", 0.01)?;
-            let mechanism = GeoInd::new(epsilon)?;
-            let (mechanism, budget): (Box<dyn Mechanism>, &str) =
-                match params.get("budget").unwrap_or("point") {
-                    "point" => (
-                        Box::new(mechanism.with_budget(NoiseBudget::PerPoint)),
-                        "point",
-                    ),
-                    "trace" => (
-                        Box::new(mechanism.with_budget(NoiseBudget::PerTrace)),
-                        "trace",
-                    ),
-                    other => {
-                        return Err(ServiceError::BadRequest(format!(
-                            "invalid value `{other}` for parameter `budget` (expected point|trace)"
-                        )))
-                    }
-                };
-            (
-                mechanism,
-                format!("geoind epsilon={epsilon} budget={budget}"),
-            )
-        }
+            },
+        },
+        "promesse" => MechanismSpec::Promesse {
+            alpha_m: params.parse_or("alpha", 100.0)?,
+        },
+        "geoind" => MechanismSpec::GeoInd {
+            epsilon: params.parse_or("epsilon", 0.01)?,
+            budget: match params.get("budget").unwrap_or("point") {
+                "point" => NoiseBudget::PerPoint,
+                "trace" => NoiseBudget::PerTrace,
+                other => {
+                    return Err(ServiceError::BadRequest(format!(
+                        "invalid value `{other}` for parameter `budget` (expected point|trace)"
+                    )))
+                }
+            },
+        },
         "grid" => {
-            let cell: f64 = params.parse_or("cell", 250.0)?;
+            let cell_m = params.parse_or("cell", 250.0)?;
             let time_round: f64 = params.parse_or("time_round", 0.0)?;
             if !time_round.is_finite() || time_round < 0.0 {
                 return Err(ServiceError::BadRequest(format!(
@@ -214,62 +179,46 @@ pub fn resolve_mechanism(params: Params<'_>) -> Result<ResolvedMechanism, Servic
                      (expected seconds >= 0; 0 disables rounding)"
                 )));
             }
-            let mechanism = GridGeneralization::new(cell)?;
-            let mechanism: Box<dyn Mechanism> = if time_round > 0.0 {
-                Box::new(mechanism.with_time_rounding(Seconds::new(time_round))?)
-            } else {
-                Box::new(mechanism)
-            };
-            (
-                mechanism,
-                format!("grid cell={cell} time_round={time_round}"),
-            )
+            MechanismSpec::Grid {
+                cell_m,
+                // `-0` passes the check above but would print as `-0`:
+                // give it the cache key of the `0` it means.
+                time_round_s: if time_round == 0.0 { 0.0 } else { time_round },
+            }
         }
-        "mixzones" => {
-            let config = mixzone_config(&params)?;
-            let canonical = format!(
-                "mixzones radius={} window={}",
-                config.radius_m,
-                config.zone_window.get()
-            );
-            (Box::new(MixZones::new(config)?), canonical)
-        }
-        "kdelta" => {
-            let k: usize = params.parse_or("k", 2usize)?;
-            let delta: f64 = params.parse_or("delta", 200.0)?;
-            (
-                Box::new(KDelta::new(k, delta)?),
-                format!("kdelta k={k} delta={delta}"),
-            )
-        }
-        "pipeline" => {
-            let alpha: f64 = params.parse_or("alpha", 100.0)?;
-            let config = mixzone_config(&params)?;
-            let canonical = format!(
-                "pipeline alpha={alpha} radius={} window={}",
-                config.radius_m,
-                config.zone_window.get()
-            );
-            (Box::new(Pipeline::new(alpha, config)?), canonical)
-        }
+        "mixzones" => MechanismSpec::MixZones {
+            radius_m: radius_m()?,
+            window_s: window_s()?,
+        },
+        "kdelta" => MechanismSpec::KDelta {
+            k: params.parse_or("k", 2usize)?,
+            delta_m: params.parse_or("delta", 200.0)?,
+        },
+        "pipeline" => MechanismSpec::Pipeline {
+            alpha_m: params.parse_or("alpha", 100.0)?,
+            radius_m: radius_m()?,
+            window_s: window_s()?,
+        },
         other => {
             return Err(ServiceError::BadRequest(format!(
                 "unknown mechanism `{other}` (see GET /v1/mechanisms)"
             )))
         }
-    };
-    Ok(ResolvedMechanism {
-        mechanism,
-        canonical,
     })
 }
 
-fn mixzone_config(params: &Params<'_>) -> Result<MixZoneConfig, ServiceError> {
-    let defaults = MixZoneConfig::default();
-    Ok(MixZoneConfig {
-        radius_m: params.parse_or("radius", defaults.radius_m)?,
-        zone_window: Seconds::new(params.parse_or("window", defaults.zone_window.get())?),
-        ..defaults
+/// Parses the spec, builds the mechanism and renders its canonical
+/// parameter string.
+///
+/// # Errors
+///
+/// [`parse_spec`]'s errors, plus the `CoreError` of a mechanism
+/// constructor rejecting an out-of-range value.
+pub fn resolve_mechanism(params: Params<'_>) -> Result<ResolvedMechanism, ServiceError> {
+    let spec = parse_spec(params)?;
+    Ok(ResolvedMechanism {
+        mechanism: spec.build()?,
+        canonical: spec.canonical(),
     })
 }
 
@@ -307,8 +256,9 @@ mod tests {
     fn builds_every_catalogued_mechanism_with_defaults() {
         for info in MECHANISMS {
             let q = params(&[("mechanism", info.name)]);
-            let mechanism = build_mechanism(Params(&q))
-                .unwrap_or_else(|e| panic!("mechanism `{}` failed to build: {e}", info.name));
+            let mechanism = resolve_mechanism(Params(&q))
+                .unwrap_or_else(|e| panic!("mechanism `{}` failed to build: {e}", info.name))
+                .mechanism;
             assert_eq!(
                 mechanism.as_trace_kernel().is_some(),
                 info.per_trace,
@@ -320,19 +270,20 @@ mod tests {
 
     #[test]
     fn parameters_reach_the_mechanism() {
-        let q = params(&[("mechanism", "promesse"), ("alpha", "250")]);
-        assert!(build_mechanism(Params(&q)).unwrap().name().contains("250"));
-        let q = params(&[
+        let name = |q: &[(&str, &str)]| {
+            resolve_mechanism(Params(&params(q)))
+                .unwrap()
+                .mechanism
+                .name()
+        };
+        assert!(name(&[("mechanism", "promesse"), ("alpha", "250")]).contains("250"));
+        let q = [
             ("mechanism", "geoind"),
             ("epsilon", "0.5"),
             ("budget", "trace"),
-        ]);
-        assert!(build_mechanism(Params(&q))
-            .unwrap()
-            .name()
-            .contains("trace"));
-        let q = params(&[("mechanism", "kdelta"), ("k", "5"), ("delta", "400")]);
-        assert!(build_mechanism(Params(&q)).unwrap().name().contains("k=5"));
+        ];
+        assert!(name(&q).contains("trace"));
+        assert!(name(&[("mechanism", "kdelta"), ("k", "5"), ("delta", "400")]).contains("k=5"));
     }
 
     #[test]
@@ -347,9 +298,9 @@ mod tests {
             params(&[("mechanism", "grid"), ("time_round", "-60")]),
             params(&[("mechanism", "grid"), ("time_round", "NaN")]),
         ] {
-            let err = match build_mechanism(Params(&q)) {
+            let err = match resolve_mechanism(Params(&q)) {
                 Err(e) => e,
-                Ok(m) => panic!("{q:?} unexpectedly built `{}`", m.name()),
+                Ok(r) => panic!("{q:?} unexpectedly built `{}`", r.canonical),
             };
             assert_eq!(err.status().0, 400, "{q:?} -> {err}");
         }
@@ -383,6 +334,15 @@ mod tests {
             let canonical = resolve_mechanism(Params(&q)).unwrap().canonical;
             assert!(canonical.starts_with(info.name), "{canonical}");
         }
+    }
+
+    #[test]
+    fn negative_zero_time_round_shares_the_zero_cache_key() {
+        let canonical = |v: &str| {
+            let q = params(&[("mechanism", "grid"), ("time_round", v)]);
+            resolve_mechanism(Params(&q)).unwrap().canonical
+        };
+        assert_eq!(canonical("-0"), canonical("0"));
     }
 
     #[test]

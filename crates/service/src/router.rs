@@ -45,6 +45,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mobipriv_core::fan_out;
 use mobipriv_eval::Json;
 use mobipriv_model::digest::{dataset_digest, digest_hex, fnv1a64, mix64};
 use mobipriv_model::DatasetStream;
@@ -701,15 +702,17 @@ fn route_debug(head: &RequestHead, state: &RouterState) -> Response {
     )
 }
 
-/// `GET`s `target` from every shard: the bodies of the `200` answers
-/// (an unreachable shard contributes nothing; its keyed routes are
-/// already 503ing).
+/// `GET`s `target` from every shard at once: the bodies of the `200`
+/// answers, in shard order (an unreachable shard contributes nothing;
+/// its keyed routes are already 503ing).
 fn gather(state: &RouterState, target: &str) -> Vec<String> {
-    let answers = state
-        .shards
-        .iter()
-        .map(|shard| shard.call("GET", target, "text/csv", &[]));
+    // One thread per shard: a scrape costs the slowest shard's
+    // latency, not the sum of them.
+    let answers = fan_out(&state.shards, Some(state.shards.len()), |_, shard| {
+        shard.call("GET", target, "text/csv", &[])
+    });
     answers
+        .into_iter()
         .filter_map(|answer| match answer {
             Ok((200, _, body)) => String::from_utf8(body).ok(),
             _ => None,

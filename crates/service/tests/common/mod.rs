@@ -11,11 +11,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use mobipriv_core::{Engine, Mechanism};
+use mobipriv_core::Engine;
 use mobipriv_eval::Json;
 use mobipriv_model::{write_csv, Dataset};
 use mobipriv_service::client::request_full;
-use mobipriv_service::registry::{build_mechanism, Params};
+use mobipriv_service::registry::{resolve_mechanism, Params};
 use mobipriv_service::{Server, ServerConfig, ServerHandle};
 
 /// `(status, headers with lowercased names, body)`.
@@ -110,7 +110,9 @@ pub fn batch_reference(dataset: &Dataset, query: &[(&str, &str)], seed: u64) -> 
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
-    let mechanism: Box<dyn Mechanism> = build_mechanism(Params(&pairs)).expect("valid query");
+    let mechanism = resolve_mechanism(Params(&pairs))
+        .expect("valid query")
+        .mechanism;
     csv_of(&Engine::sequential().protect(mechanism.as_ref(), dataset, seed))
 }
 

@@ -6,7 +6,8 @@
 
 mod common;
 
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use mobipriv_service::{client, Router, RouterConfig, RouterHandle, Server, ServerConfig};
 
@@ -305,4 +306,31 @@ fn router_stats_are_the_sum_of_the_shards() {
         .filter(|(name, _)| name == "x-mobipriv-trace")
         .count();
     assert_eq!(traces, 1, "{headers:?}");
+}
+
+#[test]
+fn silent_shards_are_scraped_in_parallel() {
+    // Three shards that accept connections and never answer: each
+    // scrape waits out the 1 s upstream timeout, so scraping them one
+    // after another would take 3 s.
+    let silent: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind silent shard"))
+        .collect();
+    let router = Router::bind(RouterConfig {
+        shards: silent
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect(),
+        timeout: Duration::from_secs(1),
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .spawn()
+    .expect("spawn router");
+    let started = Instant::now();
+    let (status, _) = client::request(router.addr(), "GET", "/metrics", b"").expect("metrics");
+    let elapsed = started.elapsed();
+    router.shutdown();
+    assert_eq!(status, 200);
+    assert!(elapsed < Duration::from_millis(2_500), "took {elapsed:?}");
 }

@@ -1,8 +1,9 @@
 //! Smoke-runs every reproduction experiment end to end (at the reduced
 //! CI scale) and sanity-checks the rendered output.
 
-use mobipriv_bench::experiments;
+use mobipriv_bench::experiments::{self, ExperimentCtx};
 use mobipriv_bench::ExperimentScale;
+use mobipriv_core::Engine;
 
 const SCALE: ExperimentScale = ExperimentScale::Smoke;
 
@@ -93,6 +94,13 @@ fn t9_home_covers_pseudonyms_and_smoothing() {
 
 #[test]
 fn run_all_concatenates_every_experiment() {
+    // Exactly what `repro --smoke all` prints, pinned from the reference
+    // implementation: every table value, under any thread count.
+    let golden = include_str!("golden/repro_smoke.txt");
+    for engine in [Engine::sequential(), Engine::parallel().with_threads(4)] {
+        let out = experiments::run_all_with(&ExperimentCtx::with_engine(SCALE, engine));
+        assert_eq!(format!("{out}\n"), golden, "{engine:?}");
+    }
     let out = experiments::run_all(SCALE);
     for header in [
         "F1 (Fig. 1)",

@@ -12,120 +12,97 @@
 //!   omitted or explicit, `100` vs `100.0` vs `1e2`, extra unrelated
 //!   query noise) lands on the same canonical string, so equivalent
 //!   requests share one cache entry instead of fragmenting the cache.
+//!
+//! The specs are generated as `mobipriv_core`'s own [`MechanismSpec`],
+//! and [`parse_spec`] must read every spelling back to the spec.
 
+use mobipriv::core::{MechanismSpec, NoiseBudget};
 use mobipriv::service::registry::Params;
-use mobipriv::service::resolve_mechanism;
+use mobipriv::service::{parse_spec, resolve_mechanism};
 use proptest::prelude::*;
 
-/// A structurally-resolved mechanism spec: what the canonical string
-/// must be a bijective image of.
-#[derive(Debug, Clone, PartialEq)]
-enum Spec {
-    Raw,
-    Pseudonymize {
-        per_trace: bool,
-    },
-    Promesse {
-        alpha: f64,
-    },
-    GeoInd {
-        epsilon: f64,
-        per_trace: bool,
-    },
-    Grid {
-        cell: f64,
-        time_round: f64,
-    },
-    MixZones {
-        radius: f64,
-        window: f64,
-    },
-    KDelta {
-        k: usize,
-        delta: f64,
-    },
-    Pipeline {
-        alpha: f64,
-        radius: f64,
-        window: f64,
-    },
+/// Renders `spec` as decoded query pairs. `variant` selects a spelling:
+/// 0 = plain, 1 = exponent-suffixed floats (`100.5e0` parses to the
+/// identical f64) and `-0` for a zero `time_round`, 2 = omit parameters
+/// that sit at their documented default.
+fn to_query(spec: &MechanismSpec, variant: u8) -> Vec<(String, String)> {
+    let f = |v: f64| match variant {
+        1 => format!("{v}e0"),
+        _ => v.to_string(),
+    };
+    let mut q: Vec<(String, String)> = Vec::new();
+    let mut push = |k: &str, v: String, default: &str| {
+        if variant == 2 && v == default {
+            return; // rely on the documented default
+        }
+        q.push((k.to_owned(), v));
+    };
+    match *spec {
+        MechanismSpec::Identity => push("mechanism", "raw".into(), ""),
+        MechanismSpec::Pseudonymize { per_trace } => {
+            push("mechanism", "pseudonymize".into(), "");
+            push(
+                "per",
+                (if per_trace { "trace" } else { "user" }).into(),
+                "user",
+            );
+        }
+        MechanismSpec::Promesse { alpha_m } => {
+            push("mechanism", "promesse".into(), "");
+            push("alpha", f(alpha_m), "100");
+        }
+        MechanismSpec::GeoInd { epsilon, budget } => {
+            push("mechanism", "geoind".into(), "");
+            push("epsilon", f(epsilon), "0.01");
+            let per_trace = budget == NoiseBudget::PerTrace;
+            push(
+                "budget",
+                (if per_trace { "trace" } else { "point" }).into(),
+                "point",
+            );
+        }
+        MechanismSpec::Grid {
+            cell_m,
+            time_round_s,
+        } => {
+            push("mechanism", "grid".into(), "");
+            push("cell", f(cell_m), "250");
+            let zero = variant == 1 && time_round_s == 0.0;
+            push(
+                "time_round",
+                if zero { "-0".into() } else { f(time_round_s) },
+                "0",
+            );
+        }
+        MechanismSpec::MixZones { radius_m, window_s } => {
+            push("mechanism", "mixzones".into(), "");
+            push("radius", f(radius_m), "100");
+            push("window", f(window_s), "300");
+        }
+        MechanismSpec::KDelta { k, delta_m } => {
+            push("mechanism", "kdelta".into(), "");
+            push("k", k.to_string(), "2");
+            push("delta", f(delta_m), "200");
+        }
+        MechanismSpec::Pipeline {
+            alpha_m,
+            radius_m,
+            window_s,
+        } => {
+            push("mechanism", "pipeline".into(), "");
+            push("alpha", f(alpha_m), "100");
+            push("radius", f(radius_m), "100");
+            push("window", f(window_s), "300");
+        }
+    }
+    q
 }
 
-impl Spec {
-    /// Renders the spec as decoded query pairs. `variant` selects a
-    /// spelling: 0 = plain, 1 = exponent-suffixed floats (`100.5e0`
-    /// parses to the identical f64), 2 = omit parameters that sit at
-    /// their documented default.
-    fn to_query(&self, variant: u8) -> Vec<(String, String)> {
-        let f = |v: f64| match variant {
-            1 => format!("{v}e0"),
-            _ => v.to_string(),
-        };
-        let mut q: Vec<(String, String)> = Vec::new();
-        let mut push = |k: &str, v: String, default: &str| {
-            if variant == 2 && v == default {
-                return; // rely on the documented default
-            }
-            q.push((k.to_owned(), v));
-        };
-        match self {
-            Spec::Raw => push("mechanism", "raw".into(), ""),
-            Spec::Pseudonymize { per_trace } => {
-                push("mechanism", "pseudonymize".into(), "");
-                push(
-                    "per",
-                    (if *per_trace { "trace" } else { "user" }).into(),
-                    "user",
-                );
-            }
-            Spec::Promesse { alpha } => {
-                push("mechanism", "promesse".into(), "");
-                push("alpha", f(*alpha), "100");
-            }
-            Spec::GeoInd { epsilon, per_trace } => {
-                push("mechanism", "geoind".into(), "");
-                push("epsilon", f(*epsilon), "0.01");
-                push(
-                    "budget",
-                    (if *per_trace { "trace" } else { "point" }).into(),
-                    "point",
-                );
-            }
-            Spec::Grid { cell, time_round } => {
-                push("mechanism", "grid".into(), "");
-                push("cell", f(*cell), "250");
-                push("time_round", f(*time_round), "0");
-            }
-            Spec::MixZones { radius, window } => {
-                push("mechanism", "mixzones".into(), "");
-                push("radius", f(*radius), "100");
-                push("window", f(*window), "300");
-            }
-            Spec::KDelta { k, delta } => {
-                push("mechanism", "kdelta".into(), "");
-                push("k", k.to_string(), "2");
-                push("delta", f(*delta), "200");
-            }
-            Spec::Pipeline {
-                alpha,
-                radius,
-                window,
-            } => {
-                push("mechanism", "pipeline".into(), "");
-                push("alpha", f(*alpha), "100");
-                push("radius", f(*radius), "100");
-                push("window", f(*window), "300");
-            }
-        }
-        q
-    }
-
-    fn canonical(&self, variant: u8) -> String {
-        let query = self.to_query(variant);
-        resolve_mechanism(Params(&query))
-            .unwrap_or_else(|e| panic!("{self:?} (variant {variant}) failed to resolve: {e}"))
-            .canonical
-    }
+fn canonical(spec: &MechanismSpec, variant: u8) -> String {
+    let query = to_query(spec, variant);
+    resolve_mechanism(Params(&query))
+        .unwrap_or_else(|e| panic!("{spec:?} (variant {variant}) failed to resolve: {e}"))
+        .canonical
 }
 
 /// Positive, finite, parse-round-trippable floats across several
@@ -143,30 +120,41 @@ fn arb_param(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
     })
 }
 
-fn arb_spec() -> impl Strategy<Value = Spec> {
+fn arb_spec() -> impl Strategy<Value = MechanismSpec> {
+    let budget = any::<bool>().prop_map(|per_trace| {
+        if per_trace {
+            NoiseBudget::PerTrace
+        } else {
+            NoiseBudget::PerPoint
+        }
+    });
     prop_oneof![
-        Just(Spec::Raw),
-        any::<bool>().prop_map(|per_trace| Spec::Pseudonymize { per_trace }),
-        arb_param(1.0, 1000.0).prop_map(|alpha| Spec::Promesse { alpha }),
-        (arb_param(0.001, 1.0), any::<bool>())
-            .prop_map(|(epsilon, per_trace)| Spec::GeoInd { epsilon, per_trace }),
+        Just(MechanismSpec::Identity),
+        any::<bool>().prop_map(|per_trace| MechanismSpec::Pseudonymize { per_trace }),
+        arb_param(1.0, 1000.0).prop_map(|alpha_m| MechanismSpec::Promesse { alpha_m }),
+        (arb_param(0.001, 1.0), budget)
+            .prop_map(|(epsilon, budget)| MechanismSpec::GeoInd { epsilon, budget }),
         (
             arb_param(10.0, 1000.0),
             arb_param(0.0, 600.0).prop_map(|t| if t < 1.0 { 0.0 } else { t })
         )
-            .prop_map(|(cell, time_round)| Spec::Grid { cell, time_round }),
+            .prop_map(|(cell_m, time_round_s)| MechanismSpec::Grid {
+                cell_m,
+                time_round_s
+            }),
         (arb_param(10.0, 500.0), arb_param(30.0, 3600.0))
-            .prop_map(|(radius, window)| Spec::MixZones { radius, window }),
-        (2usize..6, arb_param(10.0, 1000.0)).prop_map(|(k, delta)| Spec::KDelta { k, delta }),
+            .prop_map(|(radius_m, window_s)| MechanismSpec::MixZones { radius_m, window_s }),
+        (2usize..6, arb_param(10.0, 1000.0))
+            .prop_map(|(k, delta_m)| MechanismSpec::KDelta { k, delta_m }),
         (
             arb_param(1.0, 1000.0),
             arb_param(10.0, 500.0),
             arb_param(30.0, 3600.0)
         )
-            .prop_map(|(alpha, radius, window)| Spec::Pipeline {
-                alpha,
-                radius,
-                window
+            .prop_map(|(alpha_m, radius_m, window_s)| MechanismSpec::Pipeline {
+                alpha_m,
+                radius_m,
+                window_s
             }),
     ]
 }
@@ -177,7 +165,7 @@ proptest! {
     /// Distinct resolved parameters ⇒ distinct cache keys.
     #[test]
     fn canonical_params_are_injective(a in arb_spec(), b in arb_spec()) {
-        let (ca, cb) = (a.canonical(0), b.canonical(0));
+        let (ca, cb) = (canonical(&a, 0), canonical(&b, 0));
         if a != b {
             prop_assert_ne!(ca, cb, "{:?} vs {:?} collide", a, b);
         } else {
@@ -189,21 +177,26 @@ proptest! {
     /// floats, omitted defaults — lands on one canonical string.
     #[test]
     fn canonical_params_normalize_spelling_variants(spec in arb_spec()) {
-        let plain = spec.canonical(0);
-        prop_assert_eq!(&spec.canonical(1), &plain, "exponent spelling diverged");
-        prop_assert_eq!(&spec.canonical(2), &plain, "omitted defaults diverged");
+        let plain = canonical(&spec, 0);
+        prop_assert_eq!(&plain, &spec.canonical(), "query and spec renderings diverged");
+        prop_assert_eq!(&canonical(&spec, 1), &plain, "exponent spelling diverged");
+        prop_assert_eq!(&canonical(&spec, 2), &plain, "omitted defaults diverged");
+        for variant in 0..3 {
+            let parsed = parse_spec(Params(&to_query(&spec, variant))).unwrap();
+            prop_assert_eq!(parsed, spec, "variant {} did not round-trip", variant);
+        }
     }
 
     /// Query noise that is not a mechanism knob (seed, format, report,
     /// dataset) never leaks into the mechanism canonical.
     #[test]
     fn canonical_params_ignore_non_mechanism_noise(spec in arb_spec(), seed in any::<u64>()) {
-        let mut query = spec.to_query(0);
+        let mut query = to_query(&spec, 0);
         query.push(("seed".into(), seed.to_string()));
         query.push(("format".into(), "ndjson".into()));
         query.push(("report".into(), "1".into()));
         query.push(("dataset".into(), "ffffffffffffffff".into()));
         let noisy = resolve_mechanism(Params(&query)).unwrap().canonical;
-        prop_assert_eq!(noisy, spec.canonical(0));
+        prop_assert_eq!(noisy, canonical(&spec, 0));
     }
 }
