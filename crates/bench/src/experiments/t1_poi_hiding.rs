@@ -59,7 +59,6 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     for (seed, spec) in rows.iter().enumerate() {
         let mechanism = spec.build().expect("valid");
         let protected = ctx.protect(mechanism.as_ref(), &out.dataset, 7_000 + seed as u64);
-        // The attacker tunes against the mechanism's expected noise.
         let attack = PoiAttack::tuned_for_noise(spec.expected_noise_m());
         let outcome = attack.run(&protected, &out.truth);
         let users = outcome.per_user.len().max(1);

@@ -94,8 +94,8 @@ fn t9_home_covers_pseudonyms_and_smoothing() {
 
 #[test]
 fn run_all_concatenates_every_experiment() {
-    // Exactly what `repro --smoke all` prints, pinned from the reference
-    // implementation: every table value, under any thread count.
+    // Exactly what `repro --smoke all` prints (CI diffs the CLI against
+    // the same file): every table value, under any thread count.
     let golden = include_str!("golden/repro_smoke.txt");
     for engine in [Engine::sequential(), Engine::parallel().with_threads(4)] {
         let out = experiments::run_all_with(&ExperimentCtx::with_engine(SCALE, engine));
