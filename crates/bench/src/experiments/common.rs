@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiments: the workload scales and the
 //! [`ExperimentCtx`] every experiment runs through.
 
-use mobipriv_core::{Engine, Mechanism};
+use mobipriv_core::{CancelToken, Engine, Mechanism, Report};
 use mobipriv_model::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ impl ExperimentScale {
 /// hand-rolled protect loops, makes the whole reproduction switchable
 /// between parallel and sequential scheduling from one place (see
 /// `repro --sequential`), and pins the seed discipline: experiments
-/// pass explicit seeds, the context turns them into RNG streams.
+/// pass explicit seeds, the engine turns them into RNG streams.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx {
     scale: ExperimentScale,
@@ -74,19 +74,27 @@ impl ExperimentCtx {
         self.scale
     }
 
-    /// The engine experiments execute mechanisms on.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Applies a mechanism under a fixed seed through the engine (all
     /// experiments are deterministic end to end).
     pub fn protect(&self, mechanism: &dyn Mechanism, dataset: &Dataset, seed: u64) -> Dataset {
-        self.engine.protect(mechanism, dataset, seed)
+        self.run(mechanism, dataset, seed).0
     }
 
-    /// A seeded RNG stream for the report-producing entry points
-    /// (`protect_with_report`) that live outside the `Mechanism` trait.
+    /// [`ExperimentCtx::protect`] plus the run's [`Report`] (swap or
+    /// clustering statistics).
+    pub fn run(
+        &self,
+        mechanism: &dyn Mechanism,
+        dataset: &Dataset,
+        seed: u64,
+    ) -> (Dataset, Report) {
+        self.engine
+            .run(mechanism, dataset, seed, &CancelToken::none())
+            .expect("a none token never cancels")
+    }
+
+    /// A seeded RNG for an experiment's own sampling (T2's range
+    /// queries, T5's GPS fixes); mechanisms draw from the engine.
     pub fn seeded_rng(&self, seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }

@@ -2,7 +2,7 @@
 //! raw with two POIs each and a natural crossing, (b) after enforcing a
 //! constant speed, (c) after swapping identifiers in the mix-zone.
 
-use mobipriv_core::{MixZoneConfig, MixZones, Promesse};
+use mobipriv_core::{MixZoneConfig, MixZones, Promesse, Report};
 use mobipriv_model::{Dataset, UserId};
 use mobipriv_poi::{detect_stay_points, StayPointConfig};
 use mobipriv_synth::scenarios;
@@ -30,11 +30,10 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     let swapper = MixZones::new(MixZoneConfig::default()).expect("valid config");
     // Find a seed whose permutation actually swaps, like the figure.
     let (swapped, report) = (0..64)
-        .map(|seed| {
-            let mut rng = ctx.seeded_rng(seed);
-            swapper.protect_with_report(&smoothed, &mut rng)
+        .find_map(|seed| match ctx.run(&swapper, &smoothed, seed) {
+            (swapped, Report::Swap(report)) if report.swap_events > 0 => Some((swapped, report)),
+            _ => None,
         })
-        .find(|(_, r)| r.swap_events > 0)
         .expect("a swap occurs within 64 seeds");
 
     let sp_config = StayPointConfig::default();

@@ -41,16 +41,15 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
         "query-err",
         "pts-kept",
     ]);
-    // One engine sweep over the whole mechanism list: row i runs under
-    // seed 9_000 + i.
-    let releases = ctx.engine().sweep(&rows, &out.dataset, 9_000);
-    for (mechanism, protected) in rows.iter().zip(&releases) {
-        let distortion = spatial::dataset_distortion(&out.dataset, protected);
-        let cov = coverage::coverage(&out.dataset, protected, 200.0);
+    // Row i runs under seed 9_000 + i.
+    for (i, mechanism) in rows.iter().enumerate() {
+        let protected = ctx.protect(mechanism.as_ref(), &out.dataset, 9_000 + i as u64);
+        let distortion = spatial::dataset_distortion(&out.dataset, &protected);
+        let cov = coverage::coverage(&out.dataset, &protected, 200.0);
         let mut rng = ctx.seeded_rng(77);
         let q = queries::query_error(
             &out.dataset,
-            protected,
+            &protected,
             100,
             200.0,
             Seconds::from_minutes(15.0),
@@ -63,7 +62,7 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
             Table::num(cov.f1),
             Table::num(cov.cosine),
             Table::num(q.mean_relative_error),
-            Table::pct(published_ratio(&out.dataset, protected)),
+            Table::pct(published_ratio(&out.dataset, &protected)),
         ]);
     }
     format!(

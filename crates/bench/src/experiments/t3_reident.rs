@@ -11,11 +11,11 @@
 //! honest (harder-to-fool) owner definition.
 
 use mobipriv_attacks::ReidentAttack;
-use mobipriv_core::{Mechanism, MechanismSpec, MixZoneConfig, MixZones, NoiseBudget, Pipeline};
+use mobipriv_core::{
+    Mechanism, MechanismSpec, MixZoneConfig, MixZones, NoiseBudget, Pipeline, Report,
+};
 use mobipriv_metrics::Table;
-use mobipriv_model::Dataset;
 use mobipriv_synth::scenarios;
-use rand::rngs::StdRng;
 
 use super::common::{ExperimentCtx, ExperimentScale};
 
@@ -69,7 +69,7 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
         use std::collections::BTreeMap;
         // Re-derive the mapping by running the (deterministic) mechanism
         // and pairing published traces with their sources positionally
-        // (the engine's kernel path preserves trace order).
+        // (the per-trace stage preserves trace order).
         let mech = Pseudonymize::new();
         let protected = ctx.protect(&mech, &test, 20_000);
         let owner: BTreeMap<_, _> = protected
@@ -89,7 +89,7 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     }
 
     // Swapping mechanisms: majority-owner scoring via the swap report.
-    let swap_rows: Vec<(&str, Box<dyn SwapRun>)> = vec![
+    let swap_rows: [(&str, Box<dyn Mechanism>); 2] = [
         (
             "mixzones-alone",
             Box::new(MixZones::new(MixZoneConfig::default()).expect("valid")),
@@ -99,14 +99,15 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
             Box::new(Pipeline::new(100.0, MixZoneConfig::default()).expect("valid")),
         ),
     ];
-    for (label, runner) in swap_rows {
-        let mut rng = ctx.seeded_rng(12_345);
-        let (protected, report) = runner.run(&test, &mut rng);
+    for (label, mechanism) in swap_rows {
+        let (protected, Report::Swap(report)) = ctx.run(mechanism.as_ref(), &test, 12_345) else {
+            unreachable!("swapping mechanisms report their swaps")
+        };
         let outcome = ReidentAttack::default().run(&train, &protected);
         let linked = outcome.links.values().filter(|g| g.is_some()).count();
         let accuracy = outcome.accuracy(|l| report.majority_owner(l).unwrap_or(l));
         table.row(vec![
-            format!("{label} ({})", runner.name()),
+            format!("{label} ({})", mechanism.name()),
             Table::num(accuracy),
             format!("{}/{}", linked, outcome.links.len()),
         ]);
@@ -117,28 +118,4 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
          intact; it breaks trace *continuity* instead (see T8) — which is exactly why\n\
          the paper needs both steps. The full pipeline is the strongest row.\n"
     )
-}
-
-/// Object-safe shim over the two report-producing mechanisms.
-trait SwapRun {
-    fn name(&self) -> String;
-    fn run(&self, dataset: &Dataset, rng: &mut StdRng) -> (Dataset, mobipriv_core::SwapReport);
-}
-
-impl SwapRun for MixZones {
-    fn name(&self) -> String {
-        Mechanism::name(self)
-    }
-    fn run(&self, dataset: &Dataset, rng: &mut StdRng) -> (Dataset, mobipriv_core::SwapReport) {
-        self.protect_with_report(dataset, rng)
-    }
-}
-
-impl SwapRun for Pipeline {
-    fn name(&self) -> String {
-        Mechanism::name(self)
-    }
-    fn run(&self, dataset: &Dataset, rng: &mut StdRng) -> (Dataset, mobipriv_core::SwapReport) {
-        self.protect_with_report(dataset, rng)
-    }
 }

@@ -5,7 +5,7 @@
 //! suppress points inside mix-zones, but this should be a reasonable
 //! degradation as long as mix-zones remain reasonably small."
 
-use mobipriv_core::{MixZoneConfig, MixZones};
+use mobipriv_core::{MixZoneConfig, MixZones, Report};
 use mobipriv_metrics::Table;
 use mobipriv_synth::scenarios;
 
@@ -34,8 +34,9 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
             ..MixZoneConfig::default()
         })
         .expect("valid config");
-        let mut rng = ctx.seeded_rng(13);
-        let (_, report) = mech.protect_with_report(&out.dataset, &mut rng);
+        let (_, Report::Swap(report)) = ctx.run(&mech, &out.dataset, 13) else {
+            unreachable!("mix-zones report their swaps")
+        };
         let mean_members = if report.zones.is_empty() {
             0.0
         } else {

@@ -7,7 +7,7 @@
 //! sharing few routes) cluster cheaply; dispersed commuter towns pay in
 //! suppression and distortion.
 
-use mobipriv_core::KDelta;
+use mobipriv_core::{KDelta, Report};
 use mobipriv_metrics::{spatial, Table};
 use mobipriv_synth::scenarios;
 
@@ -42,7 +42,9 @@ pub(crate) fn run(ctx: &ExperimentCtx) -> String {
     for (name, out) in &workloads {
         for (k, delta) in [(2usize, 250.0), (2, 500.0), (3, 500.0), (5, 1_000.0)] {
             let mech = KDelta::new(k, delta).expect("valid parameters");
-            let (published, report) = mech.protect_with_report(&out.dataset);
+            let (published, Report::KDelta(report)) = ctx.run(&mech, &out.dataset, 0) else {
+                unreachable!("(k, δ)-clustering reports its clusters")
+            };
             let distortion = spatial::dataset_distortion(&out.dataset, &published);
             table.row(vec![
                 (*name).to_owned(),

@@ -1,34 +1,36 @@
-//! The deterministic batch engine: dataset-level drivers for the
-//! per-trace mechanism kernels.
+//! The deterministic batch engine: the one runner of mechanism plans.
 //!
-//! Per-trace mechanisms (speed smoothing, planar-Laplace perturbation,
-//! pseudonymization, grid generalization …) are embarrassingly parallel:
-//! every input trace maps to at most one output trace with no shared
-//! state. The [`Engine`] exploits that by fanning traces out across
-//! cores — while staying **bit-identical** to sequential execution.
+//! Every [`Mechanism`] is a plan of stages (see [`Mechanism::stages`]),
+//! and [`Engine::run`] is the one loop that runs them, in order, each
+//! on the previous stage's output:
+//!
+//! * a per-trace stage ([`Stage::PerTrace`]) maps every trace on its
+//!   own. Speed smoothing, planar-Laplace perturbation and
+//!   pseudonymization are embarrassingly parallel, so the engine fans
+//!   traces out across cores — while staying **bit-identical** to
+//!   sequential execution;
+//! * a dataset stage ([`Stage::Dataset`]) needs every trace at once
+//!   (mix-zones, (k, δ)-clustering, the dataset-anchored grid) and runs
+//!   once on the calling thread.
 //!
 //! # Determinism
 //!
 //! The classic way parallel mechanisms lose reproducibility is a single
 //! RNG shared across a nondeterministic thread interleaving. The engine
-//! never shares an RNG: each trace gets its own stream, seeded from
+//! never shares an RNG: each trace of a per-trace stage gets its own
+//! stream, seeded from
 //!
 //! ```text
-//! trace_seed = mix(experiment seed, user id, trace index)
+//! trace_seed = mix(run seed, user id, trace index)
 //! ```
 //!
 //! so the random draws a trace sees depend only on *what* it is and
-//! *where it sits in the input*, never on scheduling. Parallel and
-//! sequential runs of the same experiment seed therefore produce equal
-//! datasets — a property the workspace's test suite asserts for every
-//! mechanism ([`Engine::protect`] is compared against
-//! [`Engine::sequential`]'s output over the full mechanism matrix).
-//!
-//! Cross-trace mechanisms (mix-zones, (k, δ)-clustering) cannot be
-//! fanned out trace-by-trace; for those the engine falls back to the
-//! mechanism's dataset-level entry point with a single stream seeded
-//! from the experiment seed — still fully deterministic, just not
-//! parallel.
+//! *where it sits in the stage's input*, never on scheduling. A dataset
+//! stage gets one stream seeded `StdRng::seed_from_u64(run seed)`.
+//! Parallel and sequential runs of the same seed therefore produce
+//! equal datasets and reports — a property the workspace's test suite
+//! asserts for every mechanism ([`Engine::run`] is compared against
+//! [`Engine::sequential`]'s result over the full mechanism matrix).
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,16 +59,16 @@ use rand::SeedableRng;
 use mobipriv_model::digest::mix64;
 use mobipriv_model::{Dataset, Trace, UserId};
 
-use crate::Mechanism;
+use crate::{Mechanism, Report, Stage};
 
-/// A cooperative cancellation token for [`Engine::try_protect`].
+/// A cooperative cancellation token for [`Engine::run`].
 ///
 /// Tokens are cheap to clone (an `Arc` at most) and trip in two ways:
 /// explicitly via [`CancelToken::cancel`], or implicitly when the
 /// wall-clock budget passed to [`CancelToken::with_budget`] runs out.
 /// Both are **monotone** — once cancelled, a token stays cancelled —
 /// which is what makes the engine's determinism argument work (see
-/// [`Engine::try_protect`]).
+/// [`Engine::run`]).
 ///
 /// [`CancelToken::none`] is the zero-cost "never cancels" token the
 /// infallible [`Engine::protect`] path uses.
@@ -145,7 +148,7 @@ impl CancelToken {
     }
 }
 
-/// The error [`Engine::try_protect`] returns when its [`CancelToken`]
+/// The error [`Engine::run`] returns when its [`CancelToken`]
 /// trips before the run completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
@@ -158,22 +161,8 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// Deterministic context handed to a
-/// [`TraceKernel`](crate::TraceKernel) alongside the trace.
-///
-/// Everything here is a pure function of the experiment configuration
-/// and the trace's position in the input, so kernels that consume it
-/// stay schedule-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// The experiment-level seed the engine was invoked with.
-    pub experiment_seed: u64,
-    /// Index of the trace in the input dataset.
-    pub trace_index: usize,
-}
-
 /// The seed of the RNG stream trace `trace_index` (belonging to `user`)
-/// receives under experiment seed `experiment_seed`.
+/// receives in a per-trace stage under run seed `experiment_seed`.
 ///
 /// The guarantee is exactly: same `(seed, user, index)` ⇒ same stream,
 /// under any schedule. Re-ordering or filtering the input dataset
@@ -244,7 +233,7 @@ pub fn fan_out<T: Sync, R: Send>(
     })
 }
 
-/// Dataset-level driver for mechanism execution (see the module docs).
+/// The runner of mechanism plans (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Engine {
     /// Worker threads of the per-trace fan-out; `None` = one per core.
@@ -277,55 +266,52 @@ impl Engine {
         Engine { threads: Some(n) }
     }
 
-    /// Protects `dataset` with `mechanism` under `seed`.
+    /// Runs `mechanism`'s plan over `dataset` under `seed`, returning
+    /// the published dataset and the plan's [`Report`].
     ///
-    /// Per-trace mechanisms run through their kernel with one RNG
-    /// stream per trace (see [`trace_seed`]); dataset-level mechanisms
-    /// run through [`Mechanism::protect`] with a single stream seeded
-    /// from `seed`. Output is identical for every thread count.
+    /// Per-trace stages fan out with one RNG stream per trace (see
+    /// [`trace_seed`]); each dataset stage gets one stream seeded
+    /// `StdRng::seed_from_u64(seed)`. The result is identical for every
+    /// thread count.
+    ///
+    /// The token is checked between per-trace kernels and between
+    /// stages, never inside one, so a deadline can stop a plan after
+    /// its first stage.
     ///
     /// When global observability is on (the default; see
     /// [`mobipriv_obs::set_enabled`]), each run records its wall time
     /// into the `mobipriv_engine_protect_seconds{mechanism}` histogram
-    /// and the input fix count and throughput into the global registry.
-    /// The instrumentation only *reads* the computation — it is a
-    /// couple of clock reads and atomic adds around the unchanged
-    /// kernel dispatch, so output bytes are identical either way.
-    pub fn protect(&self, mechanism: &dyn Mechanism, dataset: &Dataset, seed: u64) -> Dataset {
-        self.try_protect(mechanism, dataset, seed, &CancelToken::none())
-            .expect("a none token never cancels")
-    }
-
-    /// [`Engine::protect`] with cooperative cancellation: the token is
-    /// checked between per-trace kernels (and around the dataset-level
-    /// fallback), never inside one.
+    /// and its input fix count into `mobipriv_engine_fixes_total`. The
+    /// instrumentation only *reads* the computation — a couple of clock
+    /// reads and atomic adds around the unchanged stage loop, so output
+    /// bytes are identical either way.
     ///
     /// # Determinism
     ///
-    /// A run that returns `Ok` executed **every** kernel: a kernel is
-    /// only skipped when the token already reads cancelled, and since
-    /// cancellation is monotone the final check then returns `Err`.
-    /// Completed outputs are therefore bit-identical to [`Engine::protect`];
-    /// cancellation can only replace an output with `Err(Cancelled)`,
-    /// never alter it.
+    /// A run that returns `Ok` executed **every** kernel and stage: a
+    /// kernel is only skipped when the token already reads cancelled,
+    /// and since cancellation is monotone the next check then returns
+    /// `Err`. Completed results are therefore bit-identical to an
+    /// uncancelled run; cancellation can only replace a result with
+    /// `Err(Cancelled)`, never alter it.
     ///
     /// # Errors
     ///
     /// [`Cancelled`] when the token trips before the run completes. The
     /// partially-computed output is discarded.
-    pub fn try_protect(
+    pub fn run(
         &self,
         mechanism: &dyn Mechanism,
         dataset: &Dataset,
         seed: u64,
         cancel: &CancelToken,
-    ) -> Result<Dataset, Cancelled> {
+    ) -> Result<(Dataset, Report), Cancelled> {
+        let plan = mechanism.stages();
         if !mobipriv_obs::enabled() {
-            return self.protect_inner(mechanism, dataset, seed, cancel);
+            return self.run_plan(&plan, dataset, seed, cancel);
         }
-        let started = std::time::Instant::now();
-        let output = self.protect_inner(mechanism, dataset, seed, cancel)?;
-        let elapsed = started.elapsed();
+        let started = Instant::now();
+        let output = self.run_plan(&plan, dataset, seed, cancel)?;
         let registry = mobipriv_obs::global();
         registry
             .histogram(
@@ -333,104 +319,91 @@ impl Engine {
                 &[("mechanism", &mechanism.name())],
                 "Wall time of Engine::protect per mechanism",
             )
-            .observe_duration(elapsed);
-        let fixes = dataset.total_fixes() as u64;
+            .observe_duration(started.elapsed());
         registry
             .counter(
                 "mobipriv_engine_fixes_total",
                 &[],
                 "Input fixes processed by Engine::protect",
             )
-            .add(fixes);
-        let seconds = elapsed.as_secs_f64();
-        if seconds > 0.0 {
-            registry
-                .gauge(
-                    "mobipriv_engine_fix_per_s",
-                    &[],
-                    "Fix throughput of the most recent Engine::protect run",
-                )
-                .set((fixes as f64 / seconds) as i64);
-        }
+            .add(dataset.total_fixes() as u64);
         Ok(output)
     }
 
-    fn protect_inner(
+    /// [`Engine::run`] without the report.
+    ///
+    /// # Errors
+    ///
+    /// [`Cancelled`] when the token trips before the run completes.
+    pub fn try_protect(
         &self,
         mechanism: &dyn Mechanism,
         dataset: &Dataset,
         seed: u64,
         cancel: &CancelToken,
     ) -> Result<Dataset, Cancelled> {
+        self.run(mechanism, dataset, seed, cancel)
+            .map(|(output, _)| output)
+    }
+
+    /// [`Engine::try_protect`] with a token that never cancels.
+    pub fn protect(&self, mechanism: &dyn Mechanism, dataset: &Dataset, seed: u64) -> Dataset {
+        self.try_protect(mechanism, dataset, seed, &CancelToken::none())
+            .expect("a none token never cancels")
+    }
+
+    /// The stage loop behind [`Engine::run`] and [`Mechanism::protect`].
+    pub(crate) fn run_plan(
+        &self,
+        plan: &[Stage<'_>],
+        dataset: &Dataset,
+        seed: u64,
+        cancel: &CancelToken,
+    ) -> Result<(Dataset, Report), Cancelled> {
+        let mut current = Cow::Borrowed(dataset);
+        let mut report = Report::None;
+        for stage in plan {
+            if cancel.is_cancelled() {
+                return Err(Cancelled);
+            }
+            let output = match stage {
+                Stage::PerTrace(kernel) => {
+                    let run = |index: usize, trace: &Trace| -> Option<Trace> {
+                        // A skipped kernel is only observable through the
+                        // next check turning the whole run into Err —
+                        // never through a hole in an Ok output.
+                        if cancel.is_cancelled() {
+                            return None;
+                        }
+                        let mut rng = StdRng::seed_from_u64(trace_seed(seed, trace.user(), index));
+                        kernel.protect_trace(trace, seed, &mut rng)
+                    };
+                    let protected = fan_out(current.traces(), self.threads, run);
+                    protected.into_iter().flatten().collect()
+                }
+                Stage::Dataset(stage) => {
+                    let (output, stage_report) =
+                        stage.run(&current, &mut StdRng::seed_from_u64(seed));
+                    report = stage_report;
+                    output
+                }
+            };
+            current = Cow::Owned(output);
+        }
         if cancel.is_cancelled() {
             return Err(Cancelled);
         }
-        match mechanism.as_trace_kernel() {
-            Some(kernel) => {
-                let run = |index: usize, trace: &Trace| -> Option<Trace> {
-                    // A skipped kernel is only observable through the
-                    // final cancellation check below turning the whole
-                    // run into Err — never through a hole in an Ok
-                    // output.
-                    if cancel.is_cancelled() {
-                        return None;
-                    }
-                    let ctx = TraceCtx {
-                        experiment_seed: seed,
-                        trace_index: index,
-                    };
-                    let mut rng = StdRng::seed_from_u64(trace_seed(seed, trace.user(), index));
-                    kernel.protect_trace(trace, &ctx, &mut rng)
-                };
-                let protected = fan_out(dataset.traces(), self.threads, run);
-                if cancel.is_cancelled() {
-                    return Err(Cancelled);
-                }
-                Ok(protected.into_iter().flatten().collect())
-            }
-            None => {
-                // Dataset-level mechanisms have no per-trace seam to
-                // check at; the budget still bounds the *request* via
-                // the checks around the call.
-                let mut rng = StdRng::seed_from_u64(seed);
-                let output = mechanism.protect(dataset, &mut rng);
-                if cancel.is_cancelled() {
-                    return Err(Cancelled);
-                }
-                Ok(output)
-            }
-        }
-    }
-
-    /// Protects `dataset` with every mechanism of a heterogeneous sweep,
-    /// returning the releases in mechanism order. Each mechanism `i`
-    /// runs under `seed + i`, matching the convention the experiment
-    /// tables use for their per-row seeds.
-    ///
-    /// Mechanisms that read the dataset's column cache
-    /// ([`Dataset::columns`]) share one build across the whole sweep:
-    /// the cache is keyed to the input dataset, and the engine never
-    /// mutates the input.
-    pub fn sweep(
-        &self,
-        mechanisms: &[Box<dyn Mechanism>],
-        dataset: &Dataset,
-        seed: u64,
-    ) -> Vec<Dataset> {
-        mechanisms
-            .iter()
-            .enumerate()
-            .map(|(i, m)| self.protect(m.as_ref(), dataset, seed + i as u64))
-            .collect()
+        Ok((current.into_owned(), report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GeoInd, Identity, Promesse, Pseudonymize};
+    use crate::{DatasetStage, GeoInd, Identity, Promesse, Pseudonymize, TraceKernel};
     use mobipriv_geo::LatLng;
     use mobipriv_model::{Fix, Timestamp};
+    use rand::RngCore;
 
     fn wandering_trace(user: u64, n: usize, step_s: i64) -> Trace {
         let fixes = (0..n)
@@ -505,13 +478,14 @@ mod tests {
     }
 
     #[test]
-    fn dataset_level_fallback_is_deterministic() {
+    fn dataset_stage_is_deterministic() {
         use crate::{MixZoneConfig, MixZones};
         let d = dataset();
         let mech = MixZones::new(MixZoneConfig::default()).unwrap();
-        assert!(mech.as_trace_kernel().is_none());
-        let a = Engine::parallel().protect(&mech, &d, 5);
-        let b = Engine::sequential().protect(&mech, &d, 5);
+        assert!(matches!(mech.stages()[..], [Stage::Dataset(_)]));
+        let none = CancelToken::none();
+        let a = Engine::parallel().run(&mech, &d, 5, &none);
+        let b = Engine::sequential().run(&mech, &d, 5, &none);
         assert_eq!(a, b);
     }
 
@@ -538,16 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_every_mechanism() {
-        let d = dataset();
-        let mechanisms: Vec<Box<dyn Mechanism>> =
-            vec![Box::new(Identity), Box::new(Promesse::new(60.0).unwrap())];
-        let outs = Engine::parallel().sweep(&mechanisms, &d, 10);
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0], d, "identity row unchanged");
-    }
-
-    #[test]
     fn cancelled_token_aborts_before_any_work() {
         let d = dataset();
         let token = CancelToken::new();
@@ -557,10 +521,53 @@ mod tests {
                 engine.try_protect(&Promesse::new(60.0).unwrap(), &d, 1, &token),
                 Err(Cancelled)
             );
-            // Dataset-level fallback path.
+            // A plan of one dataset stage.
             use crate::{MixZoneConfig, MixZones};
             let mech = MixZones::new(MixZoneConfig::default()).unwrap();
             assert_eq!(engine.try_protect(&mech, &d, 1, &token), Err(Cancelled));
+        }
+    }
+
+    /// A plan whose kernel trips the token, followed by a dataset stage
+    /// that must then never run.
+    struct CancelsMidPlan(CancelToken);
+
+    impl TraceKernel for CancelsMidPlan {
+        fn protect_trace(
+            &self,
+            trace: &Trace,
+            _seed: u64,
+            _rng: &mut dyn RngCore,
+        ) -> Option<Trace> {
+            self.0.cancel();
+            Some(trace.clone())
+        }
+    }
+
+    impl DatasetStage for CancelsMidPlan {
+        fn run(&self, _dataset: &Dataset, _rng: &mut dyn RngCore) -> (Dataset, Report) {
+            panic!("a stage ran after the token tripped");
+        }
+    }
+
+    impl Mechanism for CancelsMidPlan {
+        fn name(&self) -> String {
+            "cancels-mid-plan".to_owned()
+        }
+
+        fn stages(&self) -> Vec<Stage<'_>> {
+            vec![Stage::PerTrace(self), Stage::Dataset(self)]
+        }
+    }
+
+    #[test]
+    fn cancelling_kernel_stops_the_plan_before_its_next_stage() {
+        let d = dataset();
+        for threads in [1, 2] {
+            let token = CancelToken::new();
+            let mechanism = CancelsMidPlan(token.clone());
+            let engine = Engine::parallel().with_threads(threads);
+            assert_eq!(engine.run(&mechanism, &d, 3, &token), Err(Cancelled));
         }
     }
 

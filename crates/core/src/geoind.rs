@@ -1,11 +1,10 @@
 use rand::{Rng, RngCore};
 
 use mobipriv_geo::{LocalFrame, Point};
-use mobipriv_model::{Dataset, Trace};
+use mobipriv_model::Trace;
 
-use crate::engine::TraceCtx;
 use crate::error::require_positive;
-use crate::{CoreError, Mechanism, TraceKernel};
+use crate::{CoreError, Mechanism, Stage, TraceKernel};
 
 /// How the privacy budget is spent across the points of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,37 +143,22 @@ impl Mechanism for GeoInd {
         }
     }
 
-    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset {
-        dataset.map(|trace| self.perturb_trace(trace, rng))
-    }
-
-    fn as_trace_kernel(&self) -> Option<&dyn TraceKernel> {
-        Some(self)
-    }
-}
-
-impl GeoInd {
-    /// Perturbs every position of one trace, drawing noise from `rng`.
-    fn perturb_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let eps = match self.budget {
-            NoiseBudget::PerPoint => self.epsilon,
-            NoiseBudget::PerTrace => self.epsilon / trace.len() as f64,
-        };
-        trace.map_positions(|pos| {
-            let frame = LocalFrame::new(pos);
-            frame.unproject(GeoInd::sample_noise(eps, rng))
-        })
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::PerTrace(self)]
     }
 }
 
 impl TraceKernel for GeoInd {
-    fn protect_trace(
-        &self,
-        trace: &Trace,
-        _ctx: &TraceCtx,
-        rng: &mut dyn RngCore,
-    ) -> Option<Trace> {
-        Some(self.perturb_trace(trace, rng))
+    /// Perturbs every position of the trace, drawing noise from `rng`.
+    fn protect_trace(&self, trace: &Trace, _seed: u64, rng: &mut dyn RngCore) -> Option<Trace> {
+        let eps = match self.budget {
+            NoiseBudget::PerPoint => self.epsilon,
+            NoiseBudget::PerTrace => self.epsilon / trace.len() as f64,
+        };
+        Some(trace.map_positions(|pos| {
+            let frame = LocalFrame::new(pos);
+            frame.unproject(GeoInd::sample_noise(eps, rng))
+        }))
     }
 }
 
@@ -182,7 +166,7 @@ impl TraceKernel for GeoInd {
 mod tests {
     use super::*;
     use mobipriv_geo::LatLng;
-    use mobipriv_model::{Fix, Timestamp, Trace, UserId};
+    use mobipriv_model::{Dataset, Fix, Timestamp, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

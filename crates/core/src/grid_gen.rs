@@ -6,7 +6,7 @@ use mobipriv_geo::{LatLng, Point, Seconds};
 use mobipriv_model::{Dataset, Fix, Timestamp, TraceBuilder};
 
 use crate::error::require_positive;
-use crate::{CoreError, Mechanism};
+use crate::{CoreError, DatasetStage, Mechanism, Report, Stage};
 
 /// Naive generalization baseline: snap every position to the center of a
 /// `cell_m × cell_m` grid cell, optionally rounding timestamps to a
@@ -78,7 +78,7 @@ impl GridGeneralization {
     /// Reference implementation: every fix is projected through the
     /// frame individually and every snapped center unprojected anew.
     /// Kept public for the equivalence tests against the memoized
-    /// columnar [`protect`](Mechanism::protect).
+    /// columnar [`run`](DatasetStage::run).
     pub fn protect_naive(&self, dataset: &Dataset) -> Dataset {
         let frame = match dataset.local_frame() {
             Ok(f) => f,
@@ -110,6 +110,12 @@ impl Mechanism for GridGeneralization {
         }
     }
 
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::Dataset(self)]
+    }
+}
+
+impl DatasetStage for GridGeneralization {
     /// Reads positions straight from the dataset's cached
     /// [`columns`](Dataset::columns) — the canonical projection is
     /// computed once per dataset, not once per protect call — and
@@ -120,10 +126,10 @@ impl Mechanism for GridGeneralization {
     /// instead of once per fix. Bit-identical to
     /// [`protect_naive`](GridGeneralization::protect_naive) (`unproject` is
     /// deterministic and the memo key is exact `Point` equality).
-    fn protect(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> Dataset {
+    fn run(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> (Dataset, Report) {
         let cols = dataset.columns();
         let Some(frame) = cols.frame() else {
-            return Dataset::new();
+            return (Dataset::new(), Report::None);
         };
         let (x, y, time) = (cols.x(), cols.y(), cols.time());
         let granularity = self.time_round.map(|g| g.get() as i64);
@@ -157,7 +163,7 @@ impl Mechanism for GridGeneralization {
                 traces.push(trace);
             }
         }
-        Dataset::from_traces(traces)
+        (Dataset::from_traces(traces), Report::None)
     }
 }
 

@@ -4,7 +4,7 @@ use mobipriv_geo::{FootprintIndex, Point, Rect, Seconds};
 use mobipriv_model::{Dataset, Fix, Timestamp, TraceBuilder};
 
 use crate::error::require_positive;
-use crate::{CoreError, Mechanism};
+use crate::{CoreError, DatasetStage, Mechanism, Report, Stage};
 
 /// Wait4Me-style (k, δ)-anonymity baseline (Abul, Bonchi, Nanni 2010).
 ///
@@ -537,8 +537,15 @@ impl Mechanism for KDelta {
         format!("kdelta(k={},δ={}m)", self.k, self.delta_m)
     }
 
-    fn protect(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> Dataset {
-        self.protect_with_report(dataset).0
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::Dataset(self)]
+    }
+}
+
+impl DatasetStage for KDelta {
+    fn run(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> (Dataset, Report) {
+        let (output, report) = self.protect_with_report(dataset);
+        (output, Report::KDelta(report))
     }
 }
 

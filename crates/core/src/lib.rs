@@ -27,26 +27,27 @@
 //! * [`GridGeneralization`] — naive spatial/temporal generalization;
 //! * [`Identity`] — the no-op mechanism (raw publication).
 //!
-//! Every mechanism implements the [`Mechanism`] trait, so experiments
-//! sweep over them uniformly. Per-trace mechanisms additionally expose
-//! a [`TraceKernel`], which the deterministic batch [`Engine`] fans out
-//! across cores with one seeded RNG stream per trace — parallel output
-//! is bit-identical to sequential execution (see the [`engine`] module
-//! docs).
+//! Every mechanism implements the [`Mechanism`] trait: a name plus a
+//! plan of [`Stage`]s. A per-trace stage is a [`TraceKernel`]; a stage
+//! that needs the whole dataset is a [`DatasetStage`] and may return a
+//! [`Report`]. [`Engine::run`] is the one runner: it fans per-trace
+//! stages out across cores with one seeded RNG stream per trace, so
+//! parallel output is bit-identical to sequential execution (see the
+//! [`engine`] module docs).
 //!
 //! # Example
 //!
 //! ```
-//! use mobipriv_core::{Mechanism, Promesse};
+//! use mobipriv_core::{CancelToken, Engine, MixZoneConfig, Pipeline, Report};
 //! use mobipriv_synth::scenarios;
-//! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let out = scenarios::commuter_town(2, 1, 7);
-//! let mechanism = Promesse::new(100.0)?;
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let protected = mechanism.protect(&out.dataset, &mut rng);
-//! assert_eq!(protected.len(), out.dataset.len());
+//! let pipeline = Pipeline::new(100.0, MixZoneConfig::default())?;
+//! let never = CancelToken::none();
+//! let (published, report) = Engine::parallel().run(&pipeline, &out.dataset, 1, &never)?;
+//! assert!(!published.is_empty());
+//! assert!(matches!(report, Report::Swap(_)));
 //! # Ok(())
 //! # }
 //! ```
@@ -65,14 +66,12 @@ mod pipeline;
 mod promesse;
 mod spec;
 
-pub use engine::{
-    derive_user_token, fan_out, trace_seed, CancelToken, Cancelled, Engine, TraceCtx,
-};
+pub use engine::{derive_user_token, fan_out, trace_seed, CancelToken, Cancelled, Engine};
 pub use error::CoreError;
 pub use geoind::{GeoInd, NoiseBudget};
 pub use grid_gen::GridGeneralization;
 pub use kdelta::{KDelta, KDeltaReport};
-pub use mechanism::{Identity, Mechanism, Pseudonymize, TraceKernel};
+pub use mechanism::{DatasetStage, Identity, Mechanism, Pseudonymize, Report, Stage, TraceKernel};
 pub use mixzone::{detect_mix_zones, MixZone, MixZoneConfig, MixZones, SwapReport};
 pub use pipeline::Pipeline;
 pub use promesse::Promesse;

@@ -2,23 +2,15 @@ use rand::RngCore;
 
 use mobipriv_model::{Dataset, Trace, UserId};
 
-use crate::engine::{derive_user_token, TraceCtx};
+use crate::engine::{derive_user_token, CancelToken, Engine};
+use crate::{KDeltaReport, SwapReport};
 
 /// A location-privacy protection mechanism: a transformation from a raw
-/// dataset to a publishable one.
+/// dataset to a publishable one, given as a plan of [`Stage`]s that the
+/// [`Engine`] runs.
 ///
 /// The trait is object-safe so experiment harnesses can sweep over
 /// heterogeneous mechanism lists (`Vec<Box<dyn Mechanism>>`).
-/// Randomized mechanisms draw from the supplied `rng`; deterministic
-/// ones ignore it — passing a seeded RNG therefore makes any experiment
-/// reproducible.
-///
-/// Mechanisms that transform each trace independently additionally
-/// expose that kernel through [`Mechanism::as_trace_kernel`], which lets
-/// the [`Engine`](crate::Engine) fan traces out across cores with
-/// per-trace RNG streams; inherently cross-trace mechanisms (mix-zones,
-/// (k, δ)-clustering) return `None` and keep their dataset-level entry
-/// point.
 ///
 /// ```
 /// use mobipriv_core::{Identity, Mechanism};
@@ -29,47 +21,77 @@ use crate::engine::{derive_user_token, TraceCtx};
 /// let raw = Dataset::new();
 /// let out = Identity.protect(&raw, &mut rng);
 /// assert_eq!(out, raw);
-/// assert!(Identity.as_trace_kernel().is_some());
+/// assert!(Identity.stages().is_empty());
 /// ```
 pub trait Mechanism {
     /// A short machine-friendly name (used in experiment tables).
     fn name(&self) -> String;
 
-    /// Produces the protected version of `dataset`.
+    /// The plan: the stages the engine runs in order, each on the
+    /// previous stage's output.
     ///
     /// Mechanisms may drop fixes, traces, or relabel users — but they
     /// never invent users that were not present in the input.
-    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset;
+    fn stages(&self) -> Vec<Stage<'_>>;
 
-    /// The per-trace kernel view of this mechanism, when it has one.
-    ///
-    /// Returning `Some` promises that [`TraceKernel::protect_trace`]
-    /// applied to every trace independently (in any order, under any
-    /// thread interleaving) produces the dataset [`Mechanism::protect`]
-    /// would — up to the RNG stream, which the engine derives per trace.
-    fn as_trace_kernel(&self) -> Option<&dyn TraceKernel> {
-        None
+    /// Protects `dataset` on one thread under the run seed
+    /// `rng.next_u64()`: the dataset [`Engine::protect`] publishes for
+    /// that seed, on any thread count.
+    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset {
+        let never = CancelToken::none();
+        let run = Engine::sequential().run_plan(&self.stages(), dataset, rng.next_u64(), &never);
+        run.expect("a none token never cancels").0
     }
 }
 
-/// The per-trace half of a [`Mechanism`]: a pure function from one input
-/// trace (plus its deterministic context and RNG stream) to at most one
-/// published trace.
+/// One step of a [`Mechanism`]'s plan.
+pub enum Stage<'a> {
+    /// Maps every trace on its own, with one RNG stream per trace.
+    PerTrace(&'a dyn TraceKernel),
+    /// Transforms the whole dataset, with one RNG stream seeded from the
+    /// run seed.
+    Dataset(&'a dyn DatasetStage),
+}
+
+/// A per-trace stage: a pure function from one input trace (plus the
+/// run seed and the trace's own RNG stream) to at most one published
+/// trace.
 ///
 /// Kernels must not consult any state shared with other traces — that
-/// independence is what lets the [`Engine`](crate::Engine) run them in
-/// parallel while staying bit-identical to sequential execution.
+/// independence is what lets the [`Engine`] run them in parallel while
+/// staying bit-identical to sequential execution.
 pub trait TraceKernel: Send + Sync {
     /// Protects one trace; `None` suppresses it from the release.
     ///
     /// `rng` is exclusive to this trace: the engine seeds it from the
-    /// experiment seed, the user id and the trace index, so a kernel may
-    /// draw freely without perturbing any other trace's stream.
-    fn protect_trace(&self, trace: &Trace, ctx: &TraceCtx, rng: &mut dyn RngCore) -> Option<Trace>;
+    /// run seed, the user id and the trace index, so a kernel may draw
+    /// freely without perturbing any other trace's stream.
+    fn protect_trace(&self, trace: &Trace, seed: u64, rng: &mut dyn RngCore) -> Option<Trace>;
 }
 
-/// The no-op mechanism: publishes the dataset unchanged. The "Raw" row
-/// of every comparison table.
+/// A dataset stage: a step that needs every trace at once (mix-zones
+/// form between users, clusters span traces, the grid is anchored on
+/// the whole dataset).
+pub trait DatasetStage {
+    /// Protects the whole dataset, drawing from `rng`, and reports on
+    /// the run.
+    fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> (Dataset, Report);
+}
+
+/// What a run tells besides its output: the report of the plan's last
+/// dataset stage.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Report {
+    /// The stage reports nothing, or the plan has no dataset stage.
+    None,
+    /// Mix-zone swapping statistics.
+    Swap(SwapReport),
+    /// (k, δ)-clustering statistics.
+    KDelta(KDeltaReport),
+}
+
+/// The no-op mechanism: publishes the dataset unchanged (its plan has
+/// no stage). The "Raw" row of every comparison table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Identity;
 
@@ -78,23 +100,8 @@ impl Mechanism for Identity {
         "raw".to_owned()
     }
 
-    fn protect(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> Dataset {
-        dataset.clone()
-    }
-
-    fn as_trace_kernel(&self) -> Option<&dyn TraceKernel> {
-        Some(self)
-    }
-}
-
-impl TraceKernel for Identity {
-    fn protect_trace(
-        &self,
-        trace: &Trace,
-        _ctx: &TraceCtx,
-        _rng: &mut dyn RngCore,
-    ) -> Option<Trace> {
-        Some(trace.clone())
+    fn stages(&self) -> Vec<Stage<'_>> {
+        Vec::new()
     }
 }
 
@@ -152,51 +159,21 @@ impl Mechanism for Pseudonymize {
         }
     }
 
-    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset {
-        use mobipriv_model::UserId;
-        use std::collections::BTreeMap;
-        // Draw a random injective relabelling. Collisions are resolved
-        // by re-drawing; the id space (u64) makes them negligible.
-        let mut assigned: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut fresh = |rng: &mut dyn RngCore| -> UserId {
-            loop {
-                let candidate = rng.next_u64();
-                if assigned.insert(candidate) {
-                    return UserId::new(candidate);
-                }
-            }
-        };
-        if self.per_user {
-            let mut map: BTreeMap<UserId, UserId> = BTreeMap::new();
-            for user in dataset.users() {
-                let pseudonym = fresh(rng);
-                map.insert(user, pseudonym);
-            }
-            dataset.map(|t| t.with_user(map[&t.user()]))
-        } else {
-            let mut out = Dataset::new();
-            for trace in dataset.traces() {
-                out.push(trace.with_user(fresh(rng)));
-            }
-            out
-        }
-    }
-
-    fn as_trace_kernel(&self) -> Option<&dyn TraceKernel> {
-        Some(self)
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::PerTrace(self)]
     }
 }
 
 impl TraceKernel for Pseudonymize {
-    /// Per-user mode derives the pseudonym from `(experiment seed, user)`
-    /// alone — a bijection in the user id, so all of a user's traces
-    /// share one pseudonym and distinct users never collide, without any
+    /// Per-user mode derives the pseudonym from `(run seed, user)` alone
+    /// — a bijection in the user id, so all of a user's traces share one
+    /// pseudonym and distinct users never collide, without any
     /// cross-trace coordination. Per-trace mode draws the pseudonym from
     /// the trace's own stream (collisions are a 64-bit birthday event —
     /// negligible, and harmless for the release semantics).
-    fn protect_trace(&self, trace: &Trace, ctx: &TraceCtx, rng: &mut dyn RngCore) -> Option<Trace> {
+    fn protect_trace(&self, trace: &Trace, seed: u64, rng: &mut dyn RngCore) -> Option<Trace> {
         let pseudonym = if self.per_user {
-            derive_user_token(ctx.experiment_seed, trace.user())
+            derive_user_token(seed, trace.user())
         } else {
             rng.next_u64()
         };

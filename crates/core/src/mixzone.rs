@@ -9,7 +9,7 @@ use mobipriv_model::Fix;
 use mobipriv_model::{Dataset, Timestamp, Trace, TraceBuilder, UserId};
 
 use crate::error::require_positive;
-use crate::{CoreError, Mechanism};
+use crate::{CoreError, DatasetStage, Mechanism, Report, Stage};
 
 /// Parameters of mix-zone detection and swapping.
 #[derive(Debug, Clone, PartialEq)]
@@ -579,8 +579,15 @@ impl Mechanism for MixZones {
         )
     }
 
-    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset {
-        self.protect_with_report(dataset, rng).0
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::Dataset(self)]
+    }
+}
+
+impl DatasetStage for MixZones {
+    fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> (Dataset, Report) {
+        let (output, report) = self.protect_with_report(dataset, rng);
+        (output, Report::Swap(report))
     }
 }
 

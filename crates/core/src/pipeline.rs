@@ -1,16 +1,14 @@
-use rand::RngCore;
-
-use mobipriv_model::Dataset;
-
-use crate::mixzone::SwapReport;
-use crate::{CoreError, Mechanism, MixZoneConfig, MixZones, Promesse};
+use crate::{CoreError, Mechanism, MixZoneConfig, MixZones, Promesse, Stage};
 
 /// The paper's complete publication pipeline: speed smoothing followed
 /// by mix-zone swapping (Fig. 1a → 1b → 1c).
 ///
-/// Mix-zones are detected **on the smoothed data** — they exist wherever
-/// smoothed trajectories still cross, which the paper's design
-/// guarantees because smoothing preserves the path geometry.
+/// Its plan is a per-trace [`Promesse`] stage, which fans out across
+/// cores, then a [`MixZones`] dataset stage, whose
+/// [`SwapReport`](crate::SwapReport) is the run's report. Mix-zones are
+/// detected **on the smoothed data** — they exist wherever smoothed
+/// trajectories still cross, which the paper's design guarantees
+/// because smoothing preserves the path geometry.
 ///
 /// ```
 /// use mobipriv_core::{Mechanism, MixZoneConfig, Pipeline};
@@ -40,14 +38,6 @@ impl Pipeline {
         })
     }
 
-    /// Builds a pipeline from already-configured mechanisms.
-    pub fn from_parts(smoothing: Promesse, swapping: MixZones) -> Self {
-        Pipeline {
-            smoothing,
-            swapping,
-        }
-    }
-
     /// The smoothing stage.
     pub fn smoothing(&self) -> &Promesse {
         &self.smoothing
@@ -57,17 +47,6 @@ impl Pipeline {
     pub fn swapping(&self) -> &MixZones {
         &self.swapping
     }
-
-    /// Runs both stages, returning the published dataset and the
-    /// mix-zone report of the second stage.
-    pub fn protect_with_report(
-        &self,
-        dataset: &Dataset,
-        rng: &mut dyn RngCore,
-    ) -> (Dataset, SwapReport) {
-        let smoothed = self.smoothing.protect(dataset, rng);
-        self.swapping.protect_with_report(&smoothed, rng)
-    }
 }
 
 impl Mechanism for Pipeline {
@@ -75,16 +54,20 @@ impl Mechanism for Pipeline {
         format!("{}+{}", self.smoothing.name(), self.swapping.name())
     }
 
-    fn protect(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Dataset {
-        self.protect_with_report(dataset, rng).0
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![
+            Stage::PerTrace(&self.smoothing),
+            Stage::Dataset(&self.swapping),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CancelToken, Engine, Report};
     use mobipriv_geo::{LatLng, LocalFrame, Point};
-    use mobipriv_model::{Fix, Timestamp, Trace, UserId};
+    use mobipriv_model::{Dataset, Fix, Timestamp, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -134,8 +117,10 @@ mod tests {
     fn pipeline_runs_both_stages() {
         let d = crossing_with_stops();
         let pipeline = Pipeline::new(100.0, MixZoneConfig::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let (out, report) = pipeline.protect_with_report(&d, &mut rng);
+        let run = Engine::sequential().run(&pipeline, &d, 3, &CancelToken::none());
+        let Ok((out, Report::Swap(report))) = run else {
+            panic!("the pipeline reports its swaps: {run:?}");
+        };
         // Smoothing happened: published traces have near-constant speed.
         for t in out.traces() {
             let speeds: Vec<f64> = t.hop_speeds().iter().map(|v| v.get()).collect();
@@ -174,22 +159,18 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips() {
-        let p = Pipeline::from_parts(
-            Promesse::new(75.0).unwrap(),
-            MixZones::new(MixZoneConfig::default()).unwrap(),
-        );
-        assert_eq!(p.smoothing().alpha().get(), 75.0);
-    }
-
-    #[test]
-    fn protect_equals_protect_with_report_dataset() {
+    fn plan_equals_smoothing_then_swapping() {
         let d = crossing_with_stops();
         let pipeline = Pipeline::new(100.0, MixZoneConfig::default()).unwrap();
-        let mut r1 = StdRng::seed_from_u64(5);
-        let mut r2 = StdRng::seed_from_u64(5);
-        let a = pipeline.protect(&d, &mut r1);
-        let (b, _) = pipeline.protect_with_report(&d, &mut r2);
-        assert_eq!(a, b);
+        let smoothed = d.filter_map(|t| pipeline.smoothing().smooth_trace(t));
+        for seed in [0, 5, 1_000_003] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (swapped, report) = pipeline.swapping().protect_with_report(&smoothed, &mut rng);
+            let run =
+                Engine::parallel()
+                    .with_threads(2)
+                    .run(&pipeline, &d, seed, &CancelToken::none());
+            assert_eq!(run, Ok((swapped, Report::Swap(report))), "seed {seed}");
+        }
     }
 }

@@ -1,11 +1,10 @@
 use rand::RngCore;
 
 use mobipriv_geo::{LocalFrame, Meters, Seconds};
-use mobipriv_model::{Dataset, Fix, Trace, TraceBuilder};
+use mobipriv_model::{Fix, Trace, TraceBuilder};
 
-use crate::engine::TraceCtx;
 use crate::error::require_positive;
-use crate::{CoreError, Mechanism, TraceKernel};
+use crate::{CoreError, Mechanism, Stage, TraceKernel};
 
 /// Speed smoothing — the paper's first (and main) mechanism, later named
 /// *Promesse* by its authors.
@@ -154,22 +153,13 @@ impl Mechanism for Promesse {
         format!("promesse(α={}m)", self.alpha_m)
     }
 
-    fn protect(&self, dataset: &Dataset, _rng: &mut dyn RngCore) -> Dataset {
-        dataset.filter_map(|t| self.smooth_trace(t))
-    }
-
-    fn as_trace_kernel(&self) -> Option<&dyn TraceKernel> {
-        Some(self)
+    fn stages(&self) -> Vec<Stage<'_>> {
+        vec![Stage::PerTrace(self)]
     }
 }
 
 impl TraceKernel for Promesse {
-    fn protect_trace(
-        &self,
-        trace: &Trace,
-        _ctx: &TraceCtx,
-        _rng: &mut dyn RngCore,
-    ) -> Option<Trace> {
+    fn protect_trace(&self, trace: &Trace, _seed: u64, _rng: &mut dyn RngCore) -> Option<Trace> {
         self.smooth_trace(trace)
     }
 }
@@ -178,7 +168,7 @@ impl TraceKernel for Promesse {
 mod tests {
     use super::*;
     use mobipriv_geo::LatLng;
-    use mobipriv_model::{Timestamp, UserId};
+    use mobipriv_model::{Dataset, Timestamp, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

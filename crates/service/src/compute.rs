@@ -64,12 +64,12 @@ pub(crate) fn canonical_key(
 /// `wire = Bin`) plus the computation-describing headers. `progress`
 /// receives coarse stage fractions in `[0, 1]` (protect ≈ the work;
 /// serialization and metrics the remainder). `spans` collects the
-/// `compute`/`serialize` stage timings for the request's (or job's)
-/// trace — observability only, never part of the cached bytes.
+/// `compute`/`serialize`/`report` stage timings for the request's (or
+/// job's) trace — observability only, never part of the cached bytes.
 /// `cancel` is the request's compute budget: a trip between per-trace
-/// kernels aborts with [`ServiceError::DeadlineExceeded`] and nothing
-/// is cached (completed outputs stay bit-identical — see
-/// [`mobipriv_core::Engine::try_protect`]).
+/// kernels or between stages aborts with
+/// [`ServiceError::DeadlineExceeded`] and nothing is cached (completed
+/// outputs stay bit-identical — see [`mobipriv_core::Engine::run`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn anonymize_result(
     canonical: &str,
@@ -111,8 +111,10 @@ pub(crate) fn anonymize_result(
     if report {
         // Label-agnostic distortion: mechanisms may relabel users, which
         // would break per-user matching.
+        let report_start = Instant::now();
         let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
         let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
+        spans.record("report", report_start);
         headers.push((
             "x-mobipriv-distortion-mean-m",
             format!("{:.3}", distortion.mean),
@@ -163,10 +165,12 @@ pub(crate) fn evaluate_result(
         .map_err(|_| deadline_exceeded(cancel))?;
     spans.record("compute", compute_start);
     progress(0.6);
-    let serialize_start = Instant::now();
+    let report_start = Instant::now();
     let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
     let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
+    spans.record("report", report_start);
     progress(0.9);
+    let serialize_start = Instant::now();
     let doc = Json::Obj(vec![
         ("schema_version".into(), Json::UInt(1)),
         ("kind".into(), Json::Str("utility_report".into())),

@@ -18,7 +18,8 @@ pub struct MechanismInfo {
     pub name: &'static str,
     /// Human-readable parameter summary (`name=default` pairs).
     pub params: &'static str,
-    /// Whether the engine can fan its kernel out per trace.
+    /// Whether every stage of its plan is per-trace, so the engine fans
+    /// the whole run out.
     pub per_trace: bool,
     /// One-line description.
     pub description: &'static str,
@@ -244,6 +245,7 @@ pub fn mechanisms_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobipriv_core::Stage;
 
     fn params(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
@@ -259,8 +261,9 @@ mod tests {
             let mechanism = resolve_mechanism(Params(&q))
                 .unwrap_or_else(|e| panic!("mechanism `{}` failed to build: {e}", info.name))
                 .mechanism;
+            let plan = mechanism.stages();
             assert_eq!(
-                mechanism.as_trace_kernel().is_some(),
+                plan.iter().all(|stage| matches!(stage, Stage::PerTrace(_))),
                 info.per_trace,
                 "per_trace flag for `{}` disagrees with the mechanism",
                 info.name

@@ -19,12 +19,13 @@ use mobipriv_obs::trace::SpanRecorder;
 
 /// The request stages recorded as spans and as
 /// `mobipriv_stage_seconds{stage=…}` histogram series.
-pub const STAGES: [&str; 6] = [
+pub const STAGES: [&str; 7] = [
     "parse",
     "digest",
     "cache_lookup",
     "compute",
     "serialize",
+    "report",
     "write",
 ];
 

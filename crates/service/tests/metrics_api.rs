@@ -34,7 +34,8 @@ fn identical_requests_share_bytes_but_not_trace_ids() {
     assert_eq!(header(&headers_b, "x-mobipriv-cache"), Some("hit"));
 
     // The first request computed: its timeline covers the full stage
-    // sequence. The replay was served from cache: no compute span.
+    // sequence, without a utility report (report=0). The replay was
+    // served from cache: no compute span.
     let (status, _, trace_doc) =
         request_full(addr, "GET", &format!("/v1/traces/{trace_a}"), b"").unwrap();
     assert_eq!(status, 200);
@@ -43,12 +44,23 @@ fn identical_requests_share_bytes_but_not_trace_ids() {
     for stage in ["parse", "digest", "cache_lookup", "compute", "serialize"] {
         assert!(text.contains(&format!("\"stage\":\"{stage}\"")), "{text}");
     }
+    assert!(!text.contains("\"stage\":\"report\""), "{text}");
     let (status, _, replay_doc) =
         request_full(addr, "GET", &format!("/v1/traces/{trace_b}"), b"").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(replay_doc).unwrap();
     assert!(text.contains("\"stage\":\"cache_lookup\""), "{text}");
     assert!(!text.contains("\"stage\":\"compute\""), "{text}");
+
+    // A report=1 request times its distortion and coverage in a span of
+    // their own.
+    let (status, headers, _) =
+        request_full(addr, "POST", &format!("{target}&report=1"), &body).unwrap();
+    assert_eq!(status, 200);
+    let trace = header(&headers, "x-mobipriv-trace").expect("trace header");
+    let (_, _, trace_doc) = request_full(addr, "GET", &format!("/v1/traces/{trace}"), b"").unwrap();
+    let text = String::from_utf8(trace_doc).unwrap();
+    assert!(text.contains("\"stage\":\"report\""), "{text}");
 
     let (status, _, _) = request_full(addr, "GET", "/v1/traces/deadbeef00000000", b"").unwrap();
     assert_eq!(status, 404, "unknown trace ids are 404");

@@ -6,10 +6,9 @@
 //! cargo run --release --example csv_workflow
 //! ```
 
-use mobipriv::core::{MixZoneConfig, Pipeline};
+use mobipriv::core::{CancelToken, Engine, MixZoneConfig, Pipeline, Report};
 use mobipriv::model::{read_csv, write_csv};
 use mobipriv::synth::scenarios;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stand-in for your raw export: serialize a synthetic workload to
@@ -30,8 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // …protects it…
     let pipeline = Pipeline::new(100.0, MixZoneConfig::default())?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let (published, report) = pipeline.protect_with_report(&dataset, &mut rng);
+    let run = Engine::parallel().run(&pipeline, &dataset, 99, &CancelToken::none())?;
+    let (published, Report::Swap(report)) = run else {
+        unreachable!("the pipeline reports its swaps")
+    };
     println!(
         "protected: {} traces -> {} traces, {} zones, {:.2}% fixes suppressed",
         dataset.len(),

@@ -6,10 +6,9 @@
 //! ```
 
 use mobipriv::attacks::PoiAttack;
-use mobipriv::core::{Mechanism, MixZoneConfig, Pipeline};
+use mobipriv::core::{CancelToken, Engine, Mechanism, MixZoneConfig, Pipeline, Report};
 use mobipriv::metrics::spatial;
 use mobipriv::synth::scenarios;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A synthetic commuter town: 10 users, 3 days, one GPS trace per
@@ -23,10 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The paper's mechanism: speed smoothing (α = 100 m) followed by
-    // identifier swapping in natural mix-zones.
+    // identifier swapping in natural mix-zones, run under seed 7.
     let pipeline = Pipeline::new(100.0, MixZoneConfig::default())?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let (published, report) = pipeline.protect_with_report(&town.dataset, &mut rng);
+    let run = Engine::parallel().run(&pipeline, &town.dataset, 7, &CancelToken::none())?;
+    let (published, Report::Swap(report)) = run else {
+        unreachable!("the pipeline reports its swaps")
+    };
     println!("\nmechanism: {}", pipeline.name());
     println!(
         "mix-zones: {}   swap events: {}   suppressed fixes: {:.2}%",

@@ -27,19 +27,20 @@
 //! # Quickstart
 //!
 //! ```
-//! use mobipriv::core::{MixZoneConfig, Pipeline};
+//! use mobipriv::core::{CancelToken, Engine, MixZoneConfig, Pipeline, Report};
 //! use mobipriv::synth::scenarios;
-//! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // 1. A workload (swap in your own data via mobipriv::model::read_csv).
 //! let town = scenarios::commuter_town(5, 2, 42);
 //!
 //! // 2. The paper's two-step pipeline: α = 100 m smoothing, then
-//! //    swapping in 100 m mix-zones.
+//! //    swapping in 100 m mix-zones, run by the engine under seed 7.
 //! let pipeline = Pipeline::new(100.0, MixZoneConfig::default())?;
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let (published, report) = pipeline.protect_with_report(&town.dataset, &mut rng);
+//! let run = Engine::parallel().run(&pipeline, &town.dataset, 7, &CancelToken::none())?;
+//! let (published, Report::Swap(report)) = run else {
+//!     unreachable!("the pipeline reports its swaps")
+//! };
 //!
 //! assert!(published.len() > 0);
 //! println!("zones: {}, suppressed: {:.1}%",

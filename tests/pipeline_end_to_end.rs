@@ -3,17 +3,26 @@
 
 use mobipriv::attacks::{PoiAttack, ReidentAttack, Tracker};
 use mobipriv::core::{
-    Engine, GeoInd, GridGeneralization, Identity, KDelta, Mechanism, MixZoneConfig, MixZones,
-    Pipeline, Promesse, Pseudonymize,
+    CancelToken, Engine, GeoInd, GridGeneralization, Identity, KDelta, Mechanism, MixZoneConfig,
+    MixZones, Pipeline, Promesse, Pseudonymize, Report, SwapReport,
 };
 use mobipriv::metrics::{coverage, spatial};
 use mobipriv::model::Dataset;
 use mobipriv::synth::scenarios;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn pipeline() -> Pipeline {
     Pipeline::new(100.0, MixZoneConfig::default()).expect("valid configuration")
+}
+
+/// The paper's pipeline run by the engine, with its swap report.
+fn run_pipeline(dataset: &Dataset, seed: u64) -> (Dataset, SwapReport) {
+    let run = Engine::parallel().run(&pipeline(), dataset, seed, &CancelToken::none());
+    let Ok((published, Report::Swap(report))) = run else {
+        panic!("the pipeline reports its swaps: {run:?}");
+    };
+    (published, report)
 }
 
 #[test]
@@ -31,8 +40,7 @@ fn pipeline_is_deterministic_given_seed() {
 #[test]
 fn pipeline_hides_pois_and_keeps_geometry() {
     let town = scenarios::commuter_town(8, 2, 100);
-    let mut rng = StdRng::seed_from_u64(1);
-    let (published, report) = pipeline().protect_with_report(&town.dataset, &mut rng);
+    let (published, report) = run_pipeline(&town.dataset, 1);
 
     // Privacy: the POI attack collapses.
     let raw_outcome = PoiAttack::default().run(&town.dataset, &town.truth);
@@ -123,8 +131,7 @@ fn pipeline_mixes_identities_at_crossings() {
         raw.purity < 1.0,
         "no natural confusion at a 16-way crossing"
     );
-    let mut rng = StdRng::seed_from_u64(5);
-    let (published, report) = pipeline().protect_with_report(&out.dataset, &mut rng);
+    let (published, report) = run_pipeline(&out.dataset, 5);
     assert!(!report.zones.is_empty(), "no zone at the hub");
     assert!(report.swap_events > 0, "no permutation applied");
     assert!(
@@ -159,18 +166,21 @@ fn mechanism_matrix() -> Vec<Box<dyn Mechanism>> {
 fn engine_parallel_output_is_bit_identical_to_sequential() {
     // The tentpole guarantee of the batch engine: for every mechanism,
     // fanning traces across cores with per-trace RNG streams produces
-    // exactly the dataset the sequential schedule produces. Pin the
-    // fan-out to 4 worker threads so the assertion is non-trivial even
-    // on single-core CI machines, where the engine would otherwise fall
-    // back to in-place execution.
+    // exactly the dataset and report the sequential schedule produces.
+    // Pin the fan-out to 4 worker threads so the assertion is
+    // non-trivial even on single-core CI machines, where the engine
+    // would otherwise fall back to in-place execution.
     let town = scenarios::commuter_town(8, 2, 424);
+    let never = CancelToken::none();
     for mechanism in mechanism_matrix() {
         for seed in [0u64, 7, 1_000_003] {
-            let par =
-                Engine::parallel()
-                    .with_threads(4)
-                    .protect(mechanism.as_ref(), &town.dataset, seed);
-            let seq = Engine::sequential().protect(mechanism.as_ref(), &town.dataset, seed);
+            let par = Engine::parallel().with_threads(4).run(
+                mechanism.as_ref(),
+                &town.dataset,
+                seed,
+                &never,
+            );
+            let seq = Engine::sequential().run(mechanism.as_ref(), &town.dataset, seed, &never);
             assert_eq!(
                 par,
                 seq,
@@ -198,18 +208,22 @@ fn engine_runs_are_reproducible_and_seed_sensitive() {
 
 #[test]
 fn engine_kernel_path_matches_mechanism_semantics() {
-    // The kernel split must not change *what* the mechanisms publish:
-    // deterministic mechanisms give the same dataset through both entry
-    // points, and randomized ones keep their structural invariants.
+    // A direct `protect(rng)` is the engine's run under the seed
+    // `rng.next_u64()`, for every mechanism; randomized ones keep their
+    // structural invariants.
     let town = scenarios::commuter_town(6, 2, 99);
-    let mut rng = StdRng::seed_from_u64(0);
-
-    let promesse = Promesse::new(100.0).expect("valid");
-    assert_eq!(
-        Engine::parallel().protect(&promesse, &town.dataset, 0),
-        promesse.protect(&town.dataset, &mut rng),
-        "promesse is deterministic: engine and direct paths must agree"
-    );
+    for mechanism in mechanism_matrix() {
+        for seed in [0u64, 7] {
+            let direct = mechanism.protect(&town.dataset, &mut StdRng::seed_from_u64(seed));
+            let run_seed = StdRng::seed_from_u64(seed).next_u64();
+            assert_eq!(
+                direct,
+                Engine::sequential().protect(mechanism.as_ref(), &town.dataset, run_seed),
+                "{} under seed {seed}",
+                mechanism.name()
+            );
+        }
+    }
 
     let geoind = GeoInd::new(0.02).expect("valid");
     let out = Engine::parallel().protect(&geoind, &town.dataset, 3);
@@ -226,8 +240,7 @@ fn engine_kernel_path_matches_mechanism_semantics() {
 #[test]
 fn empty_dataset_flows_through_everything() {
     let empty = Dataset::new();
-    let mut rng = StdRng::seed_from_u64(6);
-    let (published, report) = pipeline().protect_with_report(&empty, &mut rng);
+    let (published, report) = run_pipeline(&empty, 6);
     assert!(published.is_empty());
     assert_eq!(report.zones.len(), 0);
     let outcome = Tracker::default().run(&published);
