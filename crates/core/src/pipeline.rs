@@ -163,13 +163,12 @@ mod tests {
         let d = crossing_with_stops();
         let pipeline = Pipeline::new(100.0, MixZoneConfig::default()).unwrap();
         let smoothed = d.filter_map(|t| pipeline.smoothing().smooth_trace(t));
+        let engine = Engine::parallel().with_threads(2);
+        let never = CancelToken::none();
         for seed in [0, 5, 1_000_003] {
             let mut rng = StdRng::seed_from_u64(seed);
             let (swapped, report) = pipeline.swapping().protect_with_report(&smoothed, &mut rng);
-            let run =
-                Engine::parallel()
-                    .with_threads(2)
-                    .run(&pipeline, &d, seed, &CancelToken::none());
+            let run = engine.run(&pipeline, &d, seed, &never);
             assert_eq!(run, Ok((swapped, Report::Swap(report))), "seed {seed}");
         }
     }
