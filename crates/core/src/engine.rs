@@ -283,8 +283,8 @@ impl Engine {
     /// into the `mobipriv_engine_protect_seconds{mechanism}` histogram
     /// and its input fix count into `mobipriv_engine_fixes_total`. The
     /// instrumentation only *reads* the computation — a couple of clock
-    /// reads and atomic adds around the unchanged stage loop, so output
-    /// bytes are identical either way.
+    /// reads and atomic adds around the stage loop, so output bytes are
+    /// identical either way.
     ///
     /// # Determinism
     ///
