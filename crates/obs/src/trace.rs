@@ -6,12 +6,10 @@
 //! `fetch_add` and cannot perturb any deterministic computation.
 //! Timelines record `(stage, start, duration)` spans relative to the
 //! recorder's creation; the store keeps the most recent timelines for
-//! `GET /v1/traces/:id`, behind a sampling flag so the buffer (not the
-//! per-request recording, which is a few `Instant::now` calls) can be
-//! switched off entirely.
+//! `GET /v1/traces/:id`.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -110,11 +108,10 @@ struct StoreInner {
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
     capacity: usize,
-    enabled: AtomicBool,
 }
 
 impl TraceStore {
-    /// A store keeping at most `capacity` timelines, sampling enabled.
+    /// A store keeping at most `capacity` timelines.
     pub fn new(capacity: usize) -> TraceStore {
         TraceStore {
             inner: Mutex::new(StoreInner {
@@ -122,27 +119,12 @@ impl TraceStore {
                 by_id: HashMap::new(),
             }),
             capacity: capacity.max(1),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Turns timeline sampling on or off. When off, [`TraceStore::store`]
-    /// is a no-op (ids and response headers still flow).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether timelines are being kept.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Stores a finished recorder's timeline, evicting the oldest past
     /// capacity.
     pub fn store(&self, recorder: &SpanRecorder) {
-        if !self.enabled() {
-            return;
-        }
         let trace = Arc::new(StoredTrace {
             id: recorder.id().to_owned(),
             spans: recorder.spans(),
@@ -207,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn store_evicts_oldest_and_respects_the_flag() {
+    fn store_evicts_oldest() {
         let store = TraceStore::new(2);
         let ids: Vec<String> = (0..3)
             .map(|_| {
@@ -220,10 +202,5 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert!(store.get(&ids[0]).is_none(), "oldest evicted");
         assert!(store.get(&ids[2]).is_some());
-
-        store.set_enabled(false);
-        let rec = SpanRecorder::new(next_trace_id());
-        store.store(&rec);
-        assert!(store.get(rec.id()).is_none(), "sampling off: not stored");
     }
 }

@@ -74,11 +74,10 @@ options:
                        reports `degraded` (cache hits keep serving)
   --breaker-open-ms N  how long the breaker stays open before admitting
                        a half-open probe (default 1000)
-  --chaos SPEC         arm the fault injector (testing only; also via
-                       the MOBIPRIV_CHAOS env var). SPEC is key=value
-                       pairs: panic=P, error=P, latency=P (probabilities),
-                       all=P shorthand, latency-ms=N, seed=N. Example:
-                       --chaos all=0.05,latency-ms=20,seed=1
+  --chaos SPEC         arm the fault injector (testing only). SPEC is
+                       key=value pairs: panic=P, error=P, latency=P
+                       (probabilities), all=P shorthand, latency-ms=N,
+                       seed=N. Example: --chaos all=0.05,latency-ms=20,seed=1
   -h, --help           print this help
 ";
 
@@ -191,16 +190,6 @@ fn main() {
             other => fail(&format!("unexpected argument: {other}")),
         }
         i += 2; // every remaining flag takes a value (--help returned)
-    }
-    if config.chaos.is_none() {
-        if let Ok(spec) = std::env::var("MOBIPRIV_CHAOS") {
-            if !spec.is_empty() {
-                match ChaosConfig::parse(&spec) {
-                    Ok(chaos) => config.chaos = Some(chaos),
-                    Err(e) => fail(&format!("MOBIPRIV_CHAOS: {e}")),
-                }
-            }
-        }
     }
     if let Some(chaos) = &config.chaos {
         eprintln!(

@@ -1,5 +1,5 @@
 //! Service-level fault injection: the chaos harness behind
-//! `mobipriv-serve --chaos` / `MOBIPRIV_CHAOS`.
+//! `mobipriv-serve --chaos`.
 //!
 //! PR 8's store-level `FaultInjector` proved the persistence layer
 //! against torn writes; this module extends the idea up to the whole
@@ -34,7 +34,7 @@ use mobipriv_obs::metrics::{Counter, Registry};
 use crate::ServiceError;
 
 /// Probabilities and parameters for one chaos campaign. Parsed from the
-/// `--chaos` flag / `MOBIPRIV_CHAOS` env spec, e.g.
+/// `--chaos` flag spec, e.g.
 /// `panic=0.05,error=0.05,latency=0.05,latency-ms=20,seed=1` or the
 /// `all=0.05` shorthand.
 #[derive(Debug, Clone, Copy, PartialEq)]

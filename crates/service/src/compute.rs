@@ -1,15 +1,19 @@
-//! The computations the result cache addresses: anonymization and
-//! utility evaluation as pure functions of `(dataset, canonical
-//! mechanism params, seed)`.
+//! The one computation the service runs: a [`Work`] value is the
+//! result cache's key, a job's payload and the computation itself, a
+//! pure function of `(dataset, canonical mechanism params, seed,
+//! output)`.
 //!
-//! Both the synchronous `POST /v1/anonymize` handler and the async job
-//! executor funnel through these functions *via the cache*, so the two
-//! surfaces coalesce with each other: a sync request and a job for the
-//! same key share one computation and one cached body.
+//! Both front doors — the synchronous `POST /v1/anonymize` handler and
+//! the job executor — describe what they want as a `Work` and hand it
+//! to [`AppState::compute`](crate::AppState::compute), which serves it
+//! from the single-flight cache or runs [`Work::run`] behind the
+//! failure-domain gate. A sync request and a job for the same key
+//! therefore share one computation and one cached body.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use mobipriv_core::{CancelToken, Engine, Mechanism};
+use mobipriv_core::{CancelToken, Engine, MechanismSpec};
 use mobipriv_eval::Json;
 use mobipriv_metrics::{coverage, spatial};
 use mobipriv_model::{write_bin, write_csv, Dataset, WireFormat};
@@ -32,238 +36,314 @@ fn deadline_exceeded(cancel: &CancelToken) -> ServiceError {
     ServiceError::DeadlineExceeded(budget_ms)
 }
 
-/// Versioned canonical cache-key string. Every field that changes the
-/// response bytes is in here; nothing transport-level (framing, header
-/// order) is. The *input* wire format is deliberately absent — CSV,
-/// NDJSON and Bin uploads of the same data share one digest and one
-/// entry — but the *output* format changes the response bytes, so Bin
-/// responses get a `|wire=bin` suffix (CSV, the historical default,
-/// stays unsuffixed to keep existing keys stable). The `v1|` prefix
-/// lets a future revision invalidate the whole keyspace at once.
-pub(crate) fn canonical_key(
-    kind: &str,
-    dataset_digest: &str,
-    mechanism_canonical: &str,
-    seed: u64,
-    report: bool,
-    wire: WireFormat,
-) -> String {
-    let suffix = match wire {
-        WireFormat::Bin => "|wire=bin",
-        _ => "",
-    };
-    format!(
-        "v1|{kind}|{dataset_digest}|{mechanism_canonical}|seed={seed}|report={}{suffix}",
-        u8::from(report)
-    )
+/// What a computation materializes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Output {
+    /// The anonymized dataset as canonical CSV (or, for `wire = Bin`,
+    /// the length-prefixed Bin frames), with the utility report's
+    /// headers when `report` is set.
+    Anonymize { report: bool, wire: WireFormat },
+    /// The utility report as canonical JSON.
+    Evaluate,
 }
 
-/// Runs a mechanism over the dataset and materializes the cacheable
-/// response: the anonymized dataset in the requested wire format
-/// (canonical CSV, or the length-prefixed Bin frames for
-/// `wire = Bin`) plus the computation-describing headers. `progress`
-/// receives coarse stage fractions in `[0, 1]` (protect ≈ the work;
-/// serialization and metrics the remainder). `spans` collects the
-/// `compute`/`serialize`/`report` stage timings for the request's (or
-/// job's) trace — observability only, never part of the cached bytes.
-/// `cancel` is the request's compute budget: a trip between per-trace
-/// kernels or between stages aborts with
-/// [`ServiceError::DeadlineExceeded`] and nothing is cached (completed
-/// outputs stay bit-identical — see [`mobipriv_core::Engine::run`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn anonymize_result(
-    canonical: &str,
-    dataset: &Dataset,
-    mechanism: &dyn Mechanism,
-    mechanism_canonical: &str,
-    seed: u64,
-    report: bool,
-    wire: WireFormat,
-    engine: &Engine,
-    cancel: &CancelToken,
-    progress: &dyn Fn(f64),
-    spans: &SpanRecorder,
-) -> Result<CachedResult, ServiceError> {
-    progress(0.05);
-    let compute_start = Instant::now();
-    let output = engine
-        .try_protect(mechanism, dataset, seed, cancel)
-        .map_err(|_| deadline_exceeded(cancel))?;
-    spans.record("compute", compute_start);
-    progress(0.8);
-    let serialize_start = Instant::now();
-    let mut body = Vec::new();
-    let (serialized, content_type) = match wire {
-        WireFormat::Bin => (write_bin(&output, &mut body), "application/octet-stream"),
-        _ => (write_csv(&output, &mut body), "text/csv"),
-    };
-    serialized.map_err(|e| ServiceError::Internal(format!("serializing response: {e}")))?;
-    spans.record("serialize", serialize_start);
-    progress(0.9);
-    let mut headers = vec![
-        ("x-mobipriv-mechanism", mechanism_canonical.to_owned()),
-        ("x-mobipriv-seed", seed.to_string()),
-        ("x-mobipriv-input-traces", dataset.len().to_string()),
-        ("x-mobipriv-input-fixes", dataset.total_fixes().to_string()),
-        ("x-mobipriv-output-traces", output.len().to_string()),
-        ("x-mobipriv-output-fixes", output.total_fixes().to_string()),
-    ];
-    if report {
-        // Label-agnostic distortion: mechanisms may relabel users, which
-        // would break per-user matching.
-        let report_start = Instant::now();
-        let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
-        let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
-        spans.record("report", report_start);
-        headers.push((
-            "x-mobipriv-distortion-mean-m",
-            format!("{:.3}", distortion.mean),
-        ));
-        headers.push((
-            "x-mobipriv-distortion-median-m",
-            format!("{:.3}", distortion.median),
-        ));
-        headers.push((
-            "x-mobipriv-distortion-p95-m",
-            format!("{:.3}", distortion.p95),
-        ));
-        headers.push((
-            "x-mobipriv-distortion-max-m",
-            format!("{:.3}", distortion.max),
-        ));
-        headers.push(("x-mobipriv-coverage-f1", format!("{:.4}", cover.f1)));
+impl Output {
+    /// The `kind=` word: a job's kind and the key's second field.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Output::Anonymize { .. } => "anonymize",
+            Output::Evaluate => "evaluate",
+        }
     }
-    progress(1.0);
-    Ok(CachedResult {
-        canonical: canonical.to_owned(),
-        content_type,
-        headers,
-        body,
-    })
 }
 
-/// Runs a mechanism and materializes the utility report — the
-/// evaluation job's output — as canonical JSON (the eval crate's
-/// deterministic writer, so equal keys produce byte-equal documents).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_result(
-    canonical: &str,
-    dataset_digest: &str,
-    dataset: &Dataset,
-    mechanism: &dyn Mechanism,
-    mechanism_canonical: &str,
-    seed: u64,
-    engine: &Engine,
-    cancel: &CancelToken,
-    progress: &dyn Fn(f64),
-    spans: &SpanRecorder,
-) -> Result<CachedResult, ServiceError> {
-    progress(0.05);
-    let compute_start = Instant::now();
-    let output = engine
-        .try_protect(mechanism, dataset, seed, cancel)
-        .map_err(|_| deadline_exceeded(cancel))?;
-    spans.record("compute", compute_start);
-    progress(0.6);
-    let report_start = Instant::now();
-    let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
-    let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
-    spans.record("report", report_start);
-    progress(0.9);
-    let serialize_start = Instant::now();
-    let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::UInt(1)),
-        ("kind".into(), Json::Str("utility_report".into())),
-        ("dataset".into(), Json::Str(dataset_digest.to_owned())),
-        (
-            "mechanism".into(),
-            Json::Str(mechanism_canonical.to_owned()),
-        ),
-        ("seed".into(), Json::UInt(seed)),
-        (
-            "input".into(),
-            Json::Obj(vec![
-                ("traces".into(), Json::UInt(dataset.len() as u64)),
-                ("fixes".into(), Json::UInt(dataset.total_fixes() as u64)),
-            ]),
-        ),
-        (
-            "output".into(),
-            Json::Obj(vec![
-                ("traces".into(), Json::UInt(output.len() as u64)),
-                ("fixes".into(), Json::UInt(output.total_fixes() as u64)),
-            ]),
-        ),
-        (
-            "distortion".into(),
-            Json::Obj(vec![
-                ("mean_m".into(), Json::Num(distortion.mean)),
-                ("median_m".into(), Json::Num(distortion.median)),
-                ("p95_m".into(), Json::Num(distortion.p95)),
-                ("max_m".into(), Json::Num(distortion.max)),
-            ]),
-        ),
-        (
-            "coverage".into(),
-            Json::Obj(vec![
-                ("precision".into(), Json::Num(cover.precision)),
-                ("recall".into(), Json::Num(cover.recall)),
-                ("f1".into(), Json::Num(cover.f1)),
-                ("total_variation".into(), Json::Num(cover.total_variation)),
-            ]),
-        ),
-    ]);
-    let mut body = String::new();
-    doc.write(&mut body);
-    body.push('\n');
-    spans.record("serialize", serialize_start);
-    progress(1.0);
-    Ok(CachedResult {
-        canonical: canonical.to_owned(),
-        content_type: "application/json",
-        headers: vec![
-            ("x-mobipriv-mechanism", mechanism_canonical.to_owned()),
-            ("x-mobipriv-seed", seed.to_string()),
-        ],
-        body: body.into_bytes(),
-    })
+/// One computation: a mechanism over a dataset under a seed, and what
+/// to materialize from it.
+#[derive(Debug)]
+pub(crate) struct Work {
+    /// Content digest of the input's canonical CSV.
+    pub(crate) digest: String,
+    /// The input, shared with the registry (a job pins it from
+    /// submission, so registry eviction never yanks it).
+    pub(crate) dataset: Arc<Dataset>,
+    /// What runs; built on the computing thread, which keeps `Work`
+    /// `Send` without demanding it of `dyn Mechanism`.
+    pub(crate) mechanism: MechanismSpec,
+    /// Request seed.
+    pub(crate) seed: u64,
+    /// What the run materializes.
+    pub(crate) output: Output,
+}
+
+impl Work {
+    /// The versioned canonical cache-key string. It is journaled with
+    /// every finished result and its FNV-1a is the job id, so its
+    /// rendering is a persisted contract (the tests below pin it).
+    /// Every field that changes the response bytes is in here; nothing
+    /// transport-level (framing, header order) is. The *input* wire
+    /// format is deliberately absent — CSV, NDJSON and Bin uploads of
+    /// the same data share one digest and one entry — but the *output*
+    /// format changes the response bytes, so Bin responses get a
+    /// `|wire=bin` suffix (CSV, the historical default, stays
+    /// unsuffixed to keep existing keys stable). An evaluation renders
+    /// as `report=0`. The `v1|` prefix lets a future revision
+    /// invalidate the whole keyspace at once.
+    pub(crate) fn canonical(&self) -> String {
+        let (report, wire) = match self.output {
+            Output::Anonymize { report, wire } => (report, wire),
+            Output::Evaluate => (false, WireFormat::Csv),
+        };
+        let suffix = match wire {
+            WireFormat::Bin => "|wire=bin",
+            _ => "",
+        };
+        format!(
+            "v1|{}|{}|{}|seed={}|report={}{suffix}",
+            self.output.name(),
+            self.digest,
+            self.mechanism.canonical(),
+            self.seed,
+            u8::from(report)
+        )
+    }
+
+    /// Runs the computation and materializes its cacheable response —
+    /// the only place the service runs a mechanism. Builds the
+    /// mechanism, protects the dataset once, measures distortion and
+    /// coverage when the output asks for them, then serializes: the
+    /// anonymized dataset plus the computation-describing headers, or
+    /// the utility report as canonical JSON (the eval crate's
+    /// deterministic writer, so equal keys produce byte-equal
+    /// documents). `progress` receives coarse stage fractions in
+    /// `[0, 1]`; `spans` collects the `compute`, `report` and
+    /// `serialize` stages for the request's (or job's) trace —
+    /// observability only, never part of the cached bytes.
+    ///
+    /// # Errors
+    ///
+    /// The spec's build error, or [`ServiceError::DeadlineExceeded`]
+    /// when `cancel` trips between per-trace kernels or between stages
+    /// (nothing is cached; completed outputs stay bit-identical — see
+    /// [`mobipriv_core::Engine::run`]).
+    pub(crate) fn run(
+        &self,
+        engine: &Engine,
+        cancel: &CancelToken,
+        progress: &dyn Fn(f64),
+        spans: &SpanRecorder,
+    ) -> Result<CachedResult, ServiceError> {
+        let mechanism = self.mechanism.build()?;
+        progress(0.05);
+        let compute_start = Instant::now();
+        let output = engine
+            .try_protect(mechanism.as_ref(), &self.dataset, self.seed, cancel)
+            .map_err(|_| deadline_exceeded(cancel))?;
+        spans.record("compute", compute_start);
+        progress(0.6);
+        let report = match self.output {
+            Output::Anonymize { report: false, .. } => None,
+            _ => Some(spans.time("report", || {
+                // Label-agnostic distortion: mechanisms may relabel
+                // users, which would break per-user matching.
+                (
+                    spatial::dataset_distortion_anonymous(&self.dataset, &output),
+                    coverage::coverage(&self.dataset, &output, REPORT_CELL_M),
+                )
+            })),
+        };
+        progress(0.9);
+        let serialize_start = Instant::now();
+        let mechanism_canonical = self.mechanism.canonical();
+        let mut headers = vec![
+            ("x-mobipriv-mechanism", mechanism_canonical.clone()),
+            ("x-mobipriv-seed", self.seed.to_string()),
+        ];
+        let (content_type, body) = match self.output {
+            Output::Anonymize { wire, .. } => {
+                headers.extend([
+                    ("x-mobipriv-input-traces", self.dataset.len().to_string()),
+                    (
+                        "x-mobipriv-input-fixes",
+                        self.dataset.total_fixes().to_string(),
+                    ),
+                    ("x-mobipriv-output-traces", output.len().to_string()),
+                    ("x-mobipriv-output-fixes", output.total_fixes().to_string()),
+                ]);
+                if let Some((distortion, cover)) = report {
+                    for (name, meters) in [
+                        ("x-mobipriv-distortion-mean-m", distortion.mean),
+                        ("x-mobipriv-distortion-median-m", distortion.median),
+                        ("x-mobipriv-distortion-p95-m", distortion.p95),
+                        ("x-mobipriv-distortion-max-m", distortion.max),
+                    ] {
+                        headers.push((name, format!("{meters:.3}")));
+                    }
+                    headers.push(("x-mobipriv-coverage-f1", format!("{:.4}", cover.f1)));
+                }
+                let mut body = Vec::new();
+                let (serialized, content_type) = match wire {
+                    WireFormat::Bin => (write_bin(&output, &mut body), "application/octet-stream"),
+                    _ => (write_csv(&output, &mut body), "text/csv"),
+                };
+                serialized
+                    .map_err(|e| ServiceError::Internal(format!("serializing response: {e}")))?;
+                (content_type, body)
+            }
+            Output::Evaluate => {
+                let (distortion, cover) = report.expect("an evaluation measures its output");
+                let counts = |d: &Dataset| {
+                    Json::Obj(vec![
+                        ("traces".into(), Json::UInt(d.len() as u64)),
+                        ("fixes".into(), Json::UInt(d.total_fixes() as u64)),
+                    ])
+                };
+                let doc = Json::Obj(vec![
+                    ("schema_version".into(), Json::UInt(1)),
+                    ("kind".into(), Json::Str("utility_report".into())),
+                    ("dataset".into(), Json::Str(self.digest.clone())),
+                    ("mechanism".into(), Json::Str(mechanism_canonical)),
+                    ("seed".into(), Json::UInt(self.seed)),
+                    ("input".into(), counts(&self.dataset)),
+                    ("output".into(), counts(&output)),
+                    (
+                        "distortion".into(),
+                        Json::Obj(vec![
+                            ("mean_m".into(), Json::Num(distortion.mean)),
+                            ("median_m".into(), Json::Num(distortion.median)),
+                            ("p95_m".into(), Json::Num(distortion.p95)),
+                            ("max_m".into(), Json::Num(distortion.max)),
+                        ]),
+                    ),
+                    (
+                        "coverage".into(),
+                        Json::Obj(vec![
+                            ("precision".into(), Json::Num(cover.precision)),
+                            ("recall".into(), Json::Num(cover.recall)),
+                            ("f1".into(), Json::Num(cover.f1)),
+                            ("total_variation".into(), Json::Num(cover.total_variation)),
+                        ]),
+                    ),
+                ]);
+                let mut body = String::new();
+                doc.write(&mut body);
+                body.push('\n');
+                ("application/json", body.into_bytes())
+            }
+        };
+        spans.record("serialize", serialize_start);
+        progress(1.0);
+        Ok(CachedResult {
+            canonical: self.canonical(),
+            content_type,
+            headers,
+            body,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{parse_spec, Params, MECHANISMS};
+
+    fn work(digest: &str, mechanism: MechanismSpec, seed: u64, output: Output) -> Work {
+        Work {
+            digest: digest.into(),
+            dataset: Arc::new(Dataset::new()),
+            mechanism,
+            seed,
+            output,
+        }
+    }
+
+    fn anonymize(report: bool, wire: WireFormat) -> Output {
+        Output::Anonymize { report, wire }
+    }
 
     #[test]
-    fn canonical_keys_separate_every_axis() {
-        let m = "promesse alpha=100";
-        let base = canonical_key("anonymize", "d1", m, 42, false, WireFormat::Csv);
+    fn cache_keys_separate_every_axis() {
+        let m = MechanismSpec::Promesse { alpha_m: 100.0 };
+        let csv = anonymize(false, WireFormat::Csv);
+        let base = work("d1", m, 42, csv).canonical();
         for other in [
-            canonical_key("evaluate", "d1", m, 42, false, WireFormat::Csv),
-            canonical_key("anonymize", "d2", m, 42, false, WireFormat::Csv),
-            canonical_key(
-                "anonymize",
-                "d1",
-                "promesse alpha=200",
-                42,
-                false,
-                WireFormat::Csv,
-            ),
-            canonical_key("anonymize", "d1", m, 43, false, WireFormat::Csv),
-            canonical_key("anonymize", "d1", m, 42, true, WireFormat::Csv),
-            canonical_key("anonymize", "d1", m, 42, false, WireFormat::Bin),
+            work("d1", m, 42, Output::Evaluate),
+            work("d2", m, 42, csv),
+            work("d1", MechanismSpec::Promesse { alpha_m: 200.0 }, 42, csv),
+            work("d1", m, 43, csv),
+            work("d1", m, 42, anonymize(true, WireFormat::Csv)),
+            work("d1", m, 42, anonymize(false, WireFormat::Bin)),
         ] {
-            assert_ne!(base, other);
+            assert_ne!(base, other.canonical());
         }
-        assert_eq!(
-            base,
-            canonical_key("anonymize", "d1", m, 42, false, WireFormat::Csv)
-        );
-        // Pre-Bin keys must be stable: the default wire leaves no trace.
-        assert!(!base.contains("wire="));
+        assert_eq!(base, work("d1", m, 42, csv).canonical());
         // NDJSON uploads answered in CSV share the CSV keyspace.
         assert_eq!(
             base,
-            canonical_key("anonymize", "d1", m, 42, false, WireFormat::NdJson)
+            work("d1", m, 42, anonymize(false, WireFormat::NdJson)).canonical()
         );
+    }
+
+    /// The keys are journaled with every result and hashed into the job
+    /// ids, so a restarted node finds a previous version's results only
+    /// while these strings stay byte-identical.
+    #[test]
+    fn cache_keys_are_pinned() {
+        let mut keys = Vec::new();
+        for info in MECHANISMS {
+            let query = [("mechanism".to_owned(), info.name.to_owned())];
+            let mechanism = parse_spec(Params(&query)).unwrap();
+            for report in [false, true] {
+                for wire in [WireFormat::Csv, WireFormat::Bin] {
+                    keys.push(
+                        work("abcdef0123456789", mechanism, 42, anonymize(report, wire))
+                            .canonical(),
+                    );
+                }
+            }
+            keys.push(work("abcdef0123456789", mechanism, 42, Output::Evaluate).canonical());
+        }
+        let expected = [
+            "v1|anonymize|abcdef0123456789|raw|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|raw|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|raw|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|raw|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|raw|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|pseudonymize per=user|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|pseudonymize per=user|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|pseudonymize per=user|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|pseudonymize per=user|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|pseudonymize per=user|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|promesse alpha=100|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|promesse alpha=100|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|promesse alpha=100|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|promesse alpha=100|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|promesse alpha=100|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|geoind epsilon=0.01 budget=point|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|geoind epsilon=0.01 budget=point|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|geoind epsilon=0.01 budget=point|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|geoind epsilon=0.01 budget=point|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|geoind epsilon=0.01 budget=point|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|grid cell=250 time_round=0|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|grid cell=250 time_round=0|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|grid cell=250 time_round=0|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|grid cell=250 time_round=0|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|grid cell=250 time_round=0|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|mixzones radius=100 window=300|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|mixzones radius=100 window=300|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|mixzones radius=100 window=300|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|mixzones radius=100 window=300|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|mixzones radius=100 window=300|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|kdelta k=2 delta=200|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|kdelta k=2 delta=200|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|kdelta k=2 delta=200|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|kdelta k=2 delta=200|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|kdelta k=2 delta=200|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|pipeline alpha=100 radius=100 window=300|seed=42|report=0",
+            "v1|anonymize|abcdef0123456789|pipeline alpha=100 radius=100 window=300|seed=42|report=0|wire=bin",
+            "v1|anonymize|abcdef0123456789|pipeline alpha=100 radius=100 window=300|seed=42|report=1",
+            "v1|anonymize|abcdef0123456789|pipeline alpha=100 radius=100 window=300|seed=42|report=1|wire=bin",
+            "v1|evaluate|abcdef0123456789|pipeline alpha=100 radius=100 window=300|seed=42|report=0",
+        ];
+        assert_eq!(keys, expected);
     }
 }

@@ -18,19 +18,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mobipriv_eval::Json;
-use mobipriv_model::{
-    digest::digest_hex, write_csv, Dataset, DatasetStream, ModelError, WireFormat,
-};
+use mobipriv_model::{digest::dataset_digest, Dataset, DatasetStream, ModelError, WireFormat};
 use mobipriv_obs::logging::{self, FieldValue};
 use mobipriv_obs::metrics::render_merged;
 use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 
 use crate::cache::{result_key, CacheOutcome, CachedResult};
-use crate::compute;
+use crate::compute::{Output, Work};
 use crate::datasets::Registered;
 use crate::http::RequestHead;
-use crate::jobs::{JobKind, JobSpec, JobStatus, Submitted};
-use crate::registry::{mechanisms_json, parse_spec, resolve_mechanism, Params};
+use crate::jobs::{JobSpec, JobStatus, Submitted};
+use crate::registry::{mechanisms_json, parse_spec, Params};
 use crate::server::{Body, RequestBody, Response, Service};
 use crate::state::AppState;
 use crate::telemetry::stats_json;
@@ -246,7 +244,8 @@ fn anonymize(
     rec: &SpanRecorder,
 ) -> Result<Response, ServiceError> {
     let params = Params(&head.query);
-    let resolved = resolve_mechanism(params)?;
+    let mechanism = parse_spec(params)?;
+    mechanism.build()?; // validates before the body is read
     let seed: u64 = params.parse_or("seed", 0)?;
     let report = wants_report(params);
     let budget = state.resilience.clamp_budget(timeout_ms(params)?);
@@ -267,42 +266,18 @@ fn anonymize(
             let (dataset, received) = read_body_dataset(head, body, rec)?;
             // Digest the *canonical* serialization: CSV, NDJSON and
             // chunked uploads of the same data share one cache entry.
-            let digest_start = Instant::now();
-            let mut canonical = Vec::new();
-            write_csv(&dataset, &mut canonical)
-                .map_err(|e| ServiceError::Internal(format!("canonicalizing input: {e}")))?;
-            let digest = digest_hex(&canonical);
-            rec.record("digest", digest_start);
+            let digest = rec.time("digest", || dataset_digest(&dataset));
             (Arc::new(dataset), digest, received)
         };
 
-    let key = compute::canonical_key(
-        "anonymize",
-        &digest,
-        &resolved.canonical,
+    let work = Work {
+        digest,
+        dataset,
+        mechanism,
         seed,
-        report,
-        wire,
-    );
-    let lookup_start = Instant::now();
-    let (result, outcome) = state.results.get_or_compute(&key, || {
-        state.guarded_compute(&key, budget, |cancel| {
-            compute::anonymize_result(
-                &key,
-                &dataset,
-                resolved.mechanism.as_ref(),
-                &resolved.canonical,
-                seed,
-                report,
-                wire,
-                &state.engine,
-                cancel,
-                &|_| {},
-                rec,
-            )
-        })
-    })?;
-    rec.record("cache_lookup", lookup_start);
+        output: Output::Anonymize { report, wire },
+    };
+    let (result, outcome) = state.compute(&work, budget, &|_| {}, rec)?;
     let mut response = Response::from_cached(result, outcome);
     response
         .headers
@@ -402,9 +377,14 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     let entry = state.datasets.get(digest).ok_or_else(|| {
         ServiceError::NotFound(format!("/v1/datasets/{digest} (register it first)"))
     })?;
-    let kind = match params.get("kind").unwrap_or("anonymize") {
-        "anonymize" => JobKind::Anonymize,
-        "evaluate" => JobKind::Evaluate,
+    let output = match params.get("kind").unwrap_or("anonymize") {
+        // Jobs always materialize the canonical CSV body; a Bin
+        // rendering of the same result is a separate one-shot request.
+        "anonymize" => Output::Anonymize {
+            report: wants_report(params),
+            wire: WireFormat::Csv,
+        },
+        "evaluate" => Output::Evaluate,
         other => {
             return Err(ServiceError::BadRequest(format!(
                 "invalid value `{other}` for parameter `kind` (expected anonymize|evaluate)"
@@ -413,36 +393,24 @@ fn submit_job(head: &RequestHead, state: &AppState) -> Result<Response, ServiceE
     };
     let mechanism = parse_spec(params)?;
     mechanism.build()?; // validates before enqueueing
-    let seed: u64 = params.parse_or("seed", 0)?;
-    let report = kind == JobKind::Anonymize && wants_report(params);
-    let timeout_ms = timeout_ms(params)?;
-    // Jobs always materialize the canonical CSV body; a Bin rendering
-    // of the same result is a separate one-shot request.
-    let canonical = compute::canonical_key(
-        kind.name(),
-        &entry.digest,
-        &mechanism.canonical(),
-        seed,
-        report,
-        WireFormat::Csv,
-    );
-    let spec = JobSpec {
-        kind,
-        dataset: entry,
+    let work = Work {
+        digest: entry.digest.clone(),
+        dataset: Arc::clone(&entry.dataset),
         mechanism,
-        seed,
-        report,
-        canonical,
-        timeout_ms,
+        seed: params.parse_or("seed", 0)?,
+        output,
+    };
+    let spec = JobSpec {
+        work,
+        timeout_ms: timeout_ms(params)?,
     };
     // Warm shortcut: a result that is already cached answers `done`
-    // without a queue round trip. When it is *not* cached, tell the
-    // board so — a stale `done` record whose body was LRU-evicted must
-    // be replaced and recomputed, not coalesced onto.
-    let (job, submitted) = if state.results.lookup(&result_key(&spec.canonical)).is_some() {
-        state.jobs.insert_done(spec)
-    } else {
-        state.jobs.submit(spec, /* result_evicted= */ true)?
+    // without a queue round trip; otherwise the board replaces a stale
+    // `done` record whose body was LRU-evicted.
+    let cached = state.results.lookup(&result_key(&spec.work.canonical()));
+    let (job, submitted) = match cached {
+        Some(_) => state.jobs.insert_done(spec),
+        None => state.jobs.submit(spec)?,
     };
     // A fresh job answers as enqueued: an executor may already have
     // picked it up, but this response reports the submission.

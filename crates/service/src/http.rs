@@ -120,11 +120,12 @@ impl RequestHead {
                 "both content-length and chunked framing present".into(),
             )),
             (true, None) => Ok(BodyFraming::Chunked),
-            (false, Some(v)) => v
-                .trim()
-                .parse::<u64>()
+            // Digits only (RFC 9112 §6.3): `parse` alone would take `+5`.
+            (false, Some(v)) => Some(v)
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse::<u64>().ok())
                 .map(BodyFraming::Length)
-                .map_err(|_| ServiceError::BadRequest(format!("invalid content-length `{v}`"))),
+                .ok_or_else(|| ServiceError::BadRequest(format!("invalid content-length `{v}`"))),
             (false, None) => Ok(BodyFraming::None),
         }
     }
@@ -249,10 +250,15 @@ pub fn read_head<R: BufRead>(r: &mut R) -> Result<RequestHead, ServiceError> {
         if line.is_empty() {
             break;
         }
+        // RFC 9112 §5.1: no whitespace between a field name and its
+        // colon. A name with whitespace anywhere (a folded continuation
+        // line included) is not a token, so it is refused rather than
+        // trimmed into one a proxy may not have seen.
         let (name, value) = line
             .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && !name.bytes().any(|b| b.is_ascii_whitespace()))
             .ok_or_else(|| ServiceError::BadRequest(format!("malformed header line `{line}`")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
     Ok(RequestHead {
         method: method.to_owned(),
@@ -541,9 +547,14 @@ where
                 let size_line = read_line(r, &mut head_budget, framing_overflow)?;
                 head_budget = MAX_HEAD_BYTES;
                 let size_hex = size_line.split(';').next().unwrap_or("").trim();
-                let size = u64::from_str_radix(size_hex, 16).map_err(|_| {
-                    ServiceError::BadRequest(format!("invalid chunk size `{size_line}`"))
-                })?;
+                // Hex digits only (RFC 9112 §7.1): `from_str_radix`
+                // alone would take `+5`.
+                let size = Some(size_hex)
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| {
+                        ServiceError::BadRequest(format!("invalid chunk size `{size_line}`"))
+                    })?;
                 if size == 0 {
                     // Trailer section: lines until the blank terminator.
                     loop {
@@ -613,7 +624,9 @@ pub(crate) fn reason_phrase(status: u16) -> &'static str {
 /// Writes a complete response (status line, headers, `Content-Length`,
 /// `Connection: keep-alive|close`, body) and flushes. The explicit
 /// `Content-Length` is what makes the connection reusable: the client
-/// knows exactly where this response ends and the next may begin.
+/// knows exactly where this response ends and the next may begin. The
+/// head is built in memory first, so on an unbuffered `TCP_NODELAY`
+/// socket a response costs at most two writes, not one per header.
 ///
 /// # Errors
 ///
@@ -627,16 +640,18 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
+    use std::fmt::Write as _;
+    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
     for (name, value) in headers {
-        write!(w, "{name}: {value}\r\n")?;
+        let _ = write!(head, "{name}: {value}\r\n");
     }
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        w,
+    let _ = write!(
+        head,
         "content-length: {}\r\nconnection: {connection}\r\n\r\n",
         body.len()
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.write_all(body)?;
     w.flush()
 }
@@ -689,6 +704,11 @@ mod tests {
             "GET /x HTTP/2.0\r\n\r\n",
             "GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
             "",
+            // Whitespace between a field name and its colon, an empty
+            // name, and a folded continuation line holding a colon.
+            "POST /x HTTP/1.1\r\nContent-Length : 3\r\n\r\n",
+            "GET /x HTTP/1.1\r\n: no-name\r\n\r\n",
+            "GET /x HTTP/1.1\r\nX-A: 1\r\n X-B: 2\r\n\r\n",
         ] {
             assert!(
                 read_head(&mut Cursor::new(raw.as_bytes())).is_err(),
@@ -728,8 +748,12 @@ mod tests {
         assert!(h.framing().is_err());
         let h = head_of("POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n");
         assert!(h.framing().is_err());
-        let h = head_of("POST /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n");
-        assert!(h.framing().is_err());
+        for length in ["abc", "+3"] {
+            let h = head_of(&format!(
+                "POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            ));
+            assert!(h.framing().is_err(), "content-length `{length}` accepted");
+        }
         let h = head_of("POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\n");
         assert!(h.framing().is_err(), "duplicate content-length accepted");
     }
@@ -773,7 +797,31 @@ mod tests {
             collect_body(b"5\r\nhello\r\n0\r\n\r\n", BodyFraming::Chunked, 4),
             Err(ServiceError::PayloadTooLarge(4))
         ));
-        assert!(collect_body(b"zz\r\n", BodyFraming::Chunked, 100).is_err());
+        for raw in [&b"zz\r\n"[..], b"+5\r\nhello\r\n0\r\n\r\n"] {
+            assert!(
+                collect_body(raw, BodyFraming::Chunked, 100).is_err(),
+                "{raw:?}"
+            );
+        }
+    }
+
+    /// Counts `write` calls: each one is a syscall (and, with
+    /// `TCP_NODELAY`, a segment) on an unbuffered socket.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -794,6 +842,23 @@ mod tests {
         assert!(text.contains("content-length: 4\r\n"));
         assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\na,b\n"));
+        // A many-header response is still one write for the head and
+        // one for the body, with the same bytes.
+        let headers: Vec<(&str, String)> = (0..12)
+            .map(|i| ("x-mobipriv-h", format!("value-{i}")))
+            .collect();
+        let mut counted = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        write_response(&mut counted, 200, "OK", &headers, b"body", true).unwrap();
+        assert!(counted.writes <= 2, "{} writes", counted.writes);
+        let mut expected = String::from("HTTP/1.1 200 OK\r\n");
+        for (name, value) in &headers {
+            expected.push_str(&format!("{name}: {value}\r\n"));
+        }
+        expected.push_str("content-length: 4\r\nconnection: keep-alive\r\n\r\nbody");
+        assert_eq!(String::from_utf8(counted.bytes).unwrap(), expected);
         let mut out = Vec::new();
         write_response(&mut out, 200, "OK", &[], b"", true).unwrap();
         let text = String::from_utf8(out).unwrap();

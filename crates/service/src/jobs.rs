@@ -9,7 +9,9 @@
 //! synchronous `POST /v1/anonymize` path. Polling `GET /v1/jobs/:id`
 //! reports `queued → running → done` (or `failed`) with a coarse
 //! progress fraction; the finished body is fetched from
-//! `GET /v1/results/:id`.
+//! `GET /v1/results/:id`. A job's payload is the `compute::Work`
+//! itself, so the job id, the cache key and the computation cannot
+//! disagree.
 //!
 //! Jobs hold an `Arc` to their dataset from submission time, so
 //! registry eviction never invalidates queued work. Finished job
@@ -32,42 +34,21 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use mobipriv_core::MechanismSpec;
 use mobipriv_eval::Json;
 use mobipriv_model::digest::{fnv1a64, mix64};
 use mobipriv_obs::logging::{self, FieldValue};
 use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 
 use crate::cache::{result_key, CacheOutcome};
-use crate::compute;
-use crate::datasets::DatasetEntry;
+use crate::compute::Work;
 use crate::state::AppState;
 use crate::ServiceError;
 
 /// Finished job records kept before the oldest are dropped.
 const MAX_FINISHED_JOBS: usize = 4096;
-
-/// What a job computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// Anonymize the dataset; result is canonical CSV.
-    Anonymize,
-    /// Utility evaluation of a mechanism on the dataset; result is JSON.
-    Evaluate,
-}
-
-impl JobKind {
-    /// The `kind=` wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobKind::Anonymize => "anonymize",
-            JobKind::Evaluate => "evaluate",
-        }
-    }
-}
 
 /// Job lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,18 +80,8 @@ impl JobStatus {
 /// The immutable description of what a job runs.
 #[derive(Debug)]
 pub struct JobSpec {
-    /// What to compute.
-    pub kind: JobKind,
-    /// The registered dataset (pinned from submission).
-    pub dataset: Arc<DatasetEntry>,
-    /// What the executor builds and runs.
-    pub mechanism: MechanismSpec,
-    /// Request seed.
-    pub seed: u64,
-    /// Whether the anonymize result carries utility-report headers.
-    pub report: bool,
-    /// The full canonical cache-key string.
-    pub canonical: String,
+    /// What to compute; its canonical key is the job id.
+    pub(crate) work: Work,
     /// Client-requested compute budget per attempt (`timeout_ms` on
     /// submission), clamped by the server's configured ceiling when the
     /// executor runs. `None` = the configured default budget.
@@ -155,7 +126,7 @@ pub struct Job {
 impl Job {
     fn new(spec: JobSpec) -> Job {
         Job {
-            id: result_key(&spec.canonical),
+            id: result_key(&spec.work.canonical()),
             spec,
             state: Mutex::new(JobState::default()),
         }
@@ -188,20 +159,15 @@ impl Job {
     }
 
     fn document(&self, state: JobState) -> Json {
+        let work = &self.spec.work;
         let mut members = vec![
             ("id".into(), Json::Str(self.id.clone())),
-            ("kind".into(), Json::Str(self.spec.kind.name().into())),
+            ("kind".into(), Json::Str(work.output.name().into())),
             ("status".into(), Json::Str(state.status.name().into())),
             ("progress".into(), Json::Num(state.progress)),
-            (
-                "dataset".into(),
-                Json::Str(self.spec.dataset.digest.clone()),
-            ),
-            (
-                "mechanism".into(),
-                Json::Str(self.spec.mechanism.canonical()),
-            ),
-            ("seed".into(), Json::UInt(self.spec.seed)),
+            ("dataset".into(), Json::Str(work.digest.clone())),
+            ("mechanism".into(), Json::Str(work.mechanism.canonical())),
+            ("seed".into(), Json::UInt(work.seed)),
             (
                 "result".into(),
                 Json::Str(format!("/v1/results/{}", self.id)),
@@ -272,7 +238,30 @@ pub enum Submitted {
 
 struct BoardInner {
     jobs: HashMap<String, Arc<Job>>,
-    finished: VecDeque<String>,
+    /// Finished records, oldest first. An entry goes stale when a
+    /// resubmission replaces its record, so trimming checks identity.
+    finished: VecDeque<Weak<Job>>,
+}
+
+impl BoardInner {
+    /// Queues a finished record, then trims the queue to the cap; a
+    /// popped record leaves the map only if it is still the live one
+    /// for its id (its result stays addressable in the cache).
+    fn push_finished(&mut self, job: &Arc<Job>) {
+        self.finished.push_back(Arc::downgrade(job));
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            let Some(old) = self.finished.pop_front().and_then(|old| old.upgrade()) else {
+                continue;
+            };
+            if self
+                .jobs
+                .get(&old.id)
+                .is_some_and(|live| Arc::ptr_eq(live, &old))
+            {
+                self.jobs.remove(&old.id);
+            }
+        }
+    }
 }
 
 /// The job registry + submission queue.
@@ -308,51 +297,27 @@ impl JobBoard {
         let _ = self.store.set(store);
     }
 
-    /// Submits a job, coalescing onto an existing equivalent one.
-    /// A previously failed job with the same id is retried, and — when
-    /// the caller observed the result missing from the cache
-    /// (`result_evicted`) — so is a `done` record whose body was
-    /// LRU-evicted; coalescing onto it instead would 200 `done` while
-    /// `GET /v1/results` keeps 404ing, a permanent livelock for the key.
+    /// Submits a job whose result the caller found missing from the
+    /// cache, coalescing onto an equivalent queued or running one. A
+    /// finished record with the same id is replaced: a failed job is
+    /// retried, and a `done` one's body was LRU-evicted — coalescing
+    /// onto it would 200 `done` while `GET /v1/results` keeps 404ing, a
+    /// permanent livelock for the key.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Unavailable`] when the job queue is full or the
     /// server is shutting down.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        result_evicted: bool,
-    ) -> Result<(Arc<Job>, Submitted), ServiceError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<(Arc<Job>, Submitted), ServiceError> {
+        let job = Arc::new(Job::new(spec));
         let mut inner = self.inner.lock().expect("job board mutex poisoned");
-        let id = result_key(&spec.canonical);
-        if let Some(existing) = inner.jobs.get(&id) {
-            let replace = match existing.status() {
-                JobStatus::Failed => true,
-                JobStatus::Done => result_evicted,
-                JobStatus::Queued | JobStatus::Running => false,
-            };
-            if !replace {
+        if let Some(existing) = inner.jobs.get(&job.id) {
+            if matches!(existing.status(), JobStatus::Queued | JobStatus::Running) {
                 return Ok((Arc::clone(existing), Submitted::Coalesced));
             }
         }
-        let job = Arc::new(Job::new(spec));
         self.enqueue(Arc::clone(&job))?;
-        inner.jobs.insert(id, Arc::clone(&job));
-        // Bound the record map: drop the oldest finished records past
-        // the cap (their results stay addressable in the cache).
-        while inner.jobs.len() > MAX_FINISHED_JOBS {
-            let Some(old) = inner.finished.pop_front() else {
-                break; // everything live is queued/running; keep them all
-            };
-            if inner
-                .jobs
-                .get(&old)
-                .is_some_and(|j| matches!(j.status(), JobStatus::Done | JobStatus::Failed))
-            {
-                inner.jobs.remove(&old);
-            }
-        }
+        inner.jobs.insert(job.id.clone(), Arc::clone(&job));
         drop(inner);
         // Journal the accepted submission off the board lock — status
         // polls must not stall behind the append's fsync. An executor
@@ -360,7 +325,7 @@ impl JobBoard {
         // append lands; recovery folds completions as a set, so the
         // reorder never reads as an in-flight job.
         if let Some(store) = self.store.get() {
-            if let Err(e) = store.job_submitted(&job.id, &job.spec.canonical) {
+            if let Err(e) = store.job_submitted(&job.id, &job.spec.work.canonical()) {
                 logging::warn(
                     "service::jobs",
                     None,
@@ -393,22 +358,21 @@ impl JobBoard {
     /// equivalent live job exists the caller is coalesced onto it
     /// instead.
     pub fn insert_done(&self, spec: JobSpec) -> (Arc<Job>, Submitted) {
+        let job = Arc::new(Job::new(spec));
         let mut inner = self.inner.lock().expect("job board mutex poisoned");
-        let id = result_key(&spec.canonical);
-        if let Some(existing) = inner.jobs.get(&id) {
+        if let Some(existing) = inner.jobs.get(&job.id) {
             if existing.status() != JobStatus::Failed {
                 return (Arc::clone(existing), Submitted::Coalesced);
             }
         }
-        let job = Arc::new(Job::new(spec));
         {
             let mut state = job.state.lock().expect("job mutex poisoned");
             state.status = JobStatus::Done;
             state.progress = 1.0;
             state.cache = Some(CacheOutcome::Hit);
         }
-        inner.jobs.insert(id.clone(), Arc::clone(&job));
-        inner.finished.push_back(id);
+        inner.jobs.insert(job.id.clone(), Arc::clone(&job));
+        inner.push_finished(&job);
         (job, Submitted::Cached)
     }
 
@@ -450,58 +414,10 @@ impl JobBoard {
             .take();
     }
 
-    fn record_finished(&self, id: &str) {
+    fn record_finished(&self, job: &Arc<Job>) {
         let mut inner = self.inner.lock().expect("job board mutex poisoned");
-        inner.finished.push_back(id.to_owned());
+        inner.push_finished(job);
     }
-}
-
-/// One attempt: joins or leads the single-flight for the job's key,
-/// computing (when leading) behind the failure-domain gate of
-/// [`AppState::guarded_compute`].
-fn cache_attempt(
-    job: &Arc<Job>,
-    state: &AppState,
-    budget: Duration,
-    progress: &dyn Fn(f64),
-    spans: &SpanRecorder,
-) -> Result<(Arc<crate::cache::CachedResult>, CacheOutcome), ServiceError> {
-    let spec = &job.spec;
-    state.results.get_or_compute(&spec.canonical, || {
-        state.guarded_compute(&spec.canonical, budget, |cancel| {
-            // Building the mechanism from the stored spec keeps the job
-            // spec `Send` without demanding it of `dyn Mechanism`.
-            let mechanism = spec.mechanism.build()?;
-            let mechanism_canonical = spec.mechanism.canonical();
-            match spec.kind {
-                JobKind::Anonymize => compute::anonymize_result(
-                    &spec.canonical,
-                    &spec.dataset.dataset,
-                    mechanism.as_ref(),
-                    &mechanism_canonical,
-                    spec.seed,
-                    spec.report,
-                    mobipriv_model::WireFormat::Csv,
-                    &state.engine,
-                    cancel,
-                    progress,
-                    spans,
-                ),
-                JobKind::Evaluate => compute::evaluate_result(
-                    &spec.canonical,
-                    &spec.dataset.digest,
-                    &spec.dataset.dataset,
-                    mechanism.as_ref(),
-                    &mechanism_canonical,
-                    spec.seed,
-                    &state.engine,
-                    cancel,
-                    progress,
-                    spans,
-                ),
-            }
-        })
-    })
 }
 
 /// Runs one job to completion on the shared state (cache + engine +
@@ -510,9 +426,9 @@ fn cache_attempt(
 /// records its own span timeline under a fresh trace id, exposed
 /// through the job document's `trace` field.
 ///
-/// Each attempt funnels through the single-flight cache and
-/// [`AppState::guarded_compute`] (breaker admission, chaos, a fresh
-/// per-attempt [`CancelToken`](mobipriv_core::CancelToken)); transient
+/// Each attempt is one [`AppState::compute`] — the single-flight cache,
+/// then breaker admission, chaos and a fresh per-attempt
+/// [`CancelToken`](mobipriv_core::CancelToken) when it leads; transient
 /// failures back off deterministically ([`backoff_ms`]) and retry until
 /// `max_attempts`, then the job is quarantined as `failed` with its
 /// attempt history.
@@ -524,14 +440,11 @@ pub(crate) fn run_job(job: &Arc<Job>, state: &AppState) {
         job_state.status = JobStatus::Running;
         job_state.trace = Some(spans.id().to_owned());
     }
-    let spec = &job.spec;
     let progress = |p: f64| job.set_progress(p);
-    let budget = state.resilience.clamp_budget(spec.timeout_ms);
+    let budget = state.resilience.clamp_budget(job.spec.timeout_ms);
     let max_attempts = state.resilience.max_attempts.max(1);
-    let lookup_start = Instant::now();
     let outcome = loop {
-        let attempt = cache_attempt(job, state, budget, &progress, &spans);
-        let e = match attempt {
+        let e = match state.compute(&job.spec.work, budget, &progress, &spans) {
             Ok(ok) => break Ok(ok),
             Err(e) => e,
         };
@@ -577,7 +490,6 @@ pub(crate) fn run_job(job: &Arc<Job>, state: &AppState) {
             None => break Err(e),
         }
     };
-    spans.record("cache_lookup", lookup_start);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut job_state = job.state.lock().expect("job mutex poisoned");
     job_state.wall_ms = wall_ms;
@@ -595,7 +507,7 @@ pub(crate) fn run_job(job: &Arc<Job>, state: &AppState) {
         }
     };
     drop(job_state);
-    state.jobs.record_finished(&job.id);
+    state.jobs.record_finished(job);
     state.metrics.record_spans(&spans);
     state.traces.store(&spans);
     match &error {
@@ -609,7 +521,7 @@ pub(crate) fn run_job(job: &Arc<Job>, state: &AppState) {
             "job done",
             &[
                 ("id", FieldValue::Str(&job.id)),
-                ("kind", FieldValue::Str(spec.kind.name())),
+                ("kind", FieldValue::Str(job.spec.work.output.name())),
                 ("wall_ms", FieldValue::F64(wall_ms)),
             ],
         ),
@@ -619,7 +531,7 @@ pub(crate) fn run_job(job: &Arc<Job>, state: &AppState) {
             "job failed",
             &[
                 ("id", FieldValue::Str(&job.id)),
-                ("kind", FieldValue::Str(spec.kind.name())),
+                ("kind", FieldValue::Str(job.spec.work.output.name())),
                 ("wall_ms", FieldValue::F64(wall_ms)),
                 ("error", FieldValue::Str(message)),
             ],
@@ -632,9 +544,10 @@ mod tests {
     use super::*;
     use crate::breaker::ResilienceConfig;
     use crate::chaos::ChaosConfig;
-    use mobipriv_core::Engine;
+    use crate::compute::Output;
+    use mobipriv_core::{Engine, MechanismSpec};
     use mobipriv_geo::LatLng;
-    use mobipriv_model::{Dataset, Fix, Timestamp, Trace, UserId};
+    use mobipriv_model::{Dataset, Fix, Timestamp, Trace, UserId, WireFormat};
 
     fn test_state(
         resilience: ResilienceConfig,
@@ -652,7 +565,7 @@ mod tests {
         .unwrap()
     }
 
-    fn entry() -> Arc<DatasetEntry> {
+    fn spec(seed: u64) -> JobSpec {
         let dataset = Dataset::from_traces(vec![Trace::new(
             UserId::new(1),
             vec![
@@ -661,30 +574,17 @@ mod tests {
             ],
         )
         .unwrap()]);
-        Arc::new(DatasetEntry {
-            digest: "abcdef0123456789".into(),
-            traces: dataset.len(),
-            fixes: dataset.total_fixes() as u64,
-            bytes: 0,
-            dataset: Arc::new(dataset),
-        })
-    }
-
-    fn spec(seed: u64) -> JobSpec {
         JobSpec {
-            kind: JobKind::Anonymize,
-            dataset: entry(),
-            mechanism: MechanismSpec::Identity,
-            seed,
-            report: false,
-            canonical: compute::canonical_key(
-                "anonymize",
-                "abcdef0123456789",
-                "raw",
+            work: Work {
+                digest: "abcdef0123456789".into(),
+                dataset: Arc::new(dataset),
+                mechanism: MechanismSpec::Identity,
                 seed,
-                false,
-                mobipriv_model::WireFormat::Csv,
-            ),
+                output: Output::Anonymize {
+                    report: false,
+                    wire: WireFormat::Csv,
+                },
+            },
             timeout_ms: None,
         }
     }
@@ -692,12 +592,12 @@ mod tests {
     #[test]
     fn identical_specs_coalesce_and_run_once() {
         let (state, receiver) = test_state(ResilienceConfig::default(), None);
-        let (a, first) = state.jobs.submit(spec(1), false).unwrap();
-        let (b, second) = state.jobs.submit(spec(1), false).unwrap();
+        let (a, first) = state.jobs.submit(spec(1)).unwrap();
+        let (b, second) = state.jobs.submit(spec(1)).unwrap();
         assert_eq!(first, Submitted::Enqueued);
         assert_eq!(second, Submitted::Coalesced);
         assert!(Arc::ptr_eq(&a, &b));
-        let (c, third) = state.jobs.submit(spec(2), false).unwrap();
+        let (c, third) = state.jobs.submit(spec(2)).unwrap();
         assert_eq!(third, Submitted::Enqueued);
         assert_ne!(a.id, c.id);
         // Exactly the two distinct jobs sit in the queue.
@@ -716,11 +616,12 @@ mod tests {
     #[test]
     fn failed_jobs_report_and_can_retry() {
         let (state, receiver) = test_state(ResilienceConfig::default(), None);
-        let bad = || JobSpec {
-            mechanism: MechanismSpec::Promesse { alpha_m: -5.0 },
-            ..spec(3)
+        let bad = || {
+            let mut spec = spec(3);
+            spec.work.mechanism = MechanismSpec::Promesse { alpha_m: -5.0 };
+            spec
         };
-        let (job, _) = state.jobs.submit(bad(), false).unwrap();
+        let (job, _) = state.jobs.submit(bad()).unwrap();
         run_job(&receiver.try_recv().unwrap(), &state);
         assert_eq!(job.status(), JobStatus::Failed);
         let mut text = String::new();
@@ -735,8 +636,30 @@ mod tests {
         assert!(!text.contains("backoff_ms"), "{text}");
         assert_eq!(state.metrics.retries_total.get(), 0);
         // Resubmission of a failed id enqueues a fresh attempt.
-        let (_, submitted) = state.jobs.submit(bad(), false).unwrap();
+        let (_, submitted) = state.jobs.submit(bad()).unwrap();
         assert_eq!(submitted, Submitted::Enqueued);
+    }
+
+    /// Resubmitting a finished id replaces its record; every run of it
+    /// queues one more finished entry. The queue stays within the cap,
+    /// and trimming a stale entry leaves the live record alone.
+    #[test]
+    fn repeated_runs_of_one_id_keep_the_finished_queue_bounded() {
+        let (state, receiver) = test_state(ResilienceConfig::default(), None);
+        let mut last = None;
+        for _ in 0..MAX_FINISHED_JOBS + 1_000 {
+            let (job, submitted) = state.jobs.submit(spec(4)).unwrap();
+            assert_eq!(submitted, Submitted::Enqueued, "a done record is replaced");
+            run_job(&receiver.try_recv().unwrap(), &state);
+            assert_eq!(job.status(), JobStatus::Done);
+            last = Some(job);
+        }
+        assert_eq!(state.results.computations(), 1, "reruns are cache hits");
+        let queued = state.jobs.inner.lock().unwrap().finished.len();
+        assert!(queued <= MAX_FINISHED_JOBS, "{queued} finished entries");
+        let last = last.unwrap();
+        let live = state.jobs.get(&last.id).expect("the live record survives");
+        assert!(Arc::ptr_eq(&live, &last));
     }
 
     #[test]
@@ -754,7 +677,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let (state, receiver) = test_state(resilience, Some(chaos));
-        let (job, _) = state.jobs.submit(spec(5), false).unwrap();
+        let (job, _) = state.jobs.submit(spec(5)).unwrap();
         run_job(&receiver.try_recv().unwrap(), &state);
         assert_eq!(job.status(), JobStatus::Failed, "quarantined");
         assert_eq!(state.metrics.retries_total.get(), 2, "two re-attempts");
@@ -794,7 +717,7 @@ mod tests {
     fn closed_board_rejects_submissions() {
         let (board, _receiver) = JobBoard::new(2);
         board.close();
-        let err = board.submit(spec(9), false).unwrap_err();
+        let err = board.submit(spec(9)).unwrap_err();
         assert_eq!(err.status().0, 503);
     }
 }

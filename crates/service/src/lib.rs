@@ -100,7 +100,7 @@ pub use cache::{result_key, CacheOutcome, ResultCache};
 pub use chaos::{ChaosConfig, ChaosInjector};
 pub use datasets::DatasetRegistry;
 pub use error::ServiceError;
-pub use jobs::{backoff_ms, JobBoard, JobKind, JobStatus};
+pub use jobs::{backoff_ms, JobBoard, JobStatus};
 pub use registry::{parse_spec, resolve_mechanism, MechanismInfo, MECHANISMS};
 pub use router::{rendezvous_owner, rendezvous_rank, Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -355,5 +355,7 @@ mod tests {
             assert!(json.contains(m.name));
         }
         assert_eq!(json.matches("\"name\"").count(), MECHANISMS.len());
+        // The published `GET /v1/mechanisms` body, byte for byte.
+        assert_eq!(json, include_str!("../tests/golden/mechanisms.json"));
     }
 }

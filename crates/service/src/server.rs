@@ -114,8 +114,8 @@ pub struct ServerConfig {
     /// retry/backoff schedule, breaker thresholds, degradation
     /// watermark.
     pub resilience: ResilienceConfig,
-    /// Fault-injection campaign (`--chaos` / `MOBIPRIV_CHAOS`); `None`
-    /// (the default) disarms the injector entirely.
+    /// Fault-injection campaign (`--chaos`); `None` (the default)
+    /// disarms the injector entirely.
     pub chaos: Option<ChaosConfig>,
 }
 

@@ -4,19 +4,21 @@
 //! that makes them survive a restart.
 
 use mobipriv_core::{CancelToken, Engine};
-use mobipriv_obs::trace::TraceStore;
+use mobipriv_obs::trace::{SpanRecorder, TraceStore};
 
 use crate::breaker::{Breaker, ResilienceConfig};
-use crate::cache::{CachedResult, ResultCache};
+use crate::cache::{CacheOutcome, CachedResult, ResultCache};
 use crate::chaos::{ChaosConfig, ChaosInjector};
+use crate::compute::Work;
 use crate::datasets::DatasetRegistry;
 use crate::jobs::JobBoard;
 use crate::store::Store;
 use crate::telemetry::ServiceMetrics;
 use crate::ServiceError;
+use std::cell::Cell;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Span timelines kept for `GET /v1/traces/:id`.
 const TRACE_CAPACITY: usize = 512;
@@ -39,10 +41,10 @@ pub struct AppState {
     /// The persistence layer (`None` = pure in-memory server).
     pub store: Option<Arc<Store>>,
     /// The compute circuit breaker every cold compute is admitted
-    /// through (see `AppState::guarded_compute`).
+    /// through (see `AppState::compute`).
     pub breaker: Breaker,
     /// The fault injector (disarmed unless the server was started with
-    /// `--chaos` / `MOBIPRIV_CHAOS`).
+    /// `--chaos`).
     pub chaos: ChaosInjector,
     /// Deadline/retry/breaker tunables (copied from the server config).
     pub resilience: ResilienceConfig,
@@ -81,9 +83,6 @@ impl AppState {
         chaos.register_metrics(&metrics.registry);
         let datasets = DatasetRegistry::new(dataset_budget_bytes);
         let traces = TraceStore::new(TRACE_CAPACITY);
-        if std::env::var("MOBIPRIV_TRACE").as_deref() == Ok("0") {
-            traces.set_enabled(false);
-        }
         let store = match data_dir {
             None => None,
             Some(dir) => {
@@ -152,12 +151,18 @@ impl AppState {
         ))
     }
 
-    /// Runs one cold compute behind the full failure-domain gate:
-    /// breaker/queue admission, chaos injection, and a fresh
-    /// [`CancelToken`] carrying `budget`. Called by the single-flight
-    /// leader only (inside [`ResultCache::get_or_compute`]'s closure),
-    /// so admission happens exactly when a computation would actually
-    /// start — cache hits and flight joins never consult the breaker.
+    /// The service's one compute path, called by the one-shot handler
+    /// and by each attempt of the job executor: serves `work` from the
+    /// single-flight cache — one computation per key, however many
+    /// callers wait — or, as the flight's leader, runs [`Work::run`]
+    /// behind the failure-domain gate: queue-depth shedding, breaker
+    /// admission, chaos injection, and a fresh [`CancelToken`] carrying
+    /// `budget`. Admission happens exactly when a computation would
+    /// start, so cache hits and flight joins never consult the breaker.
+    ///
+    /// The `cache_lookup` span ends where a leader's computation
+    /// starts: a hit or a follower's wait is all `cache_lookup`, and a
+    /// cold request's stages never overlap.
     ///
     /// The breaker permit is resolved from the outcome: success closes
     /// or keeps the breaker closed; transient failures (panics —
@@ -170,43 +175,54 @@ impl AppState {
     /// # Errors
     ///
     /// [`ServiceError::Overloaded`] when degraded (cold compute shed),
-    /// the chaos injector's transient fault, or whatever `compute`
-    /// itself returns.
-    pub(crate) fn guarded_compute<F>(
+    /// the chaos injector's transient fault, or whatever the run
+    /// returns — the leader's error, cloned, for every follower.
+    pub(crate) fn compute(
         &self,
-        canonical: &str,
+        work: &Work,
         budget: Duration,
-        compute: F,
-    ) -> Result<CachedResult, ServiceError>
-    where
-        F: FnOnce(&CancelToken) -> Result<CachedResult, ServiceError>,
-    {
-        if self.metrics.queue_depth.get() >= self.resilience.degrade_queue_depth {
-            self.metrics.overload_shed_total.inc();
-            return Err(ServiceError::Overloaded(1));
-        }
-        let permit = match self.breaker.admit() {
-            Ok(permit) => permit,
-            Err(e) => {
-                self.metrics.overload_shed_total.inc();
-                return Err(e);
+        progress: &dyn Fn(f64),
+        spans: &SpanRecorder,
+    ) -> Result<(Arc<CachedResult>, CacheOutcome), ServiceError> {
+        let canonical = work.canonical();
+        let lookup_start = Cell::new(Some(Instant::now()));
+        let end_lookup = || {
+            if let Some(start) = lookup_start.take() {
+                spans.record("cache_lookup", start);
             }
         };
-        // The permit's drop guard records a failure if `compute` (or the
-        // injector) panics and unwinds past us — the single-flight layer
-        // above catches the panic, the breaker still counts it.
-        let cancel = CancelToken::with_budget(budget);
-        let result = self.chaos.inject(canonical).and_then(|()| compute(&cancel));
-        match &result {
-            Ok(_) => permit.succeed(),
-            Err(ServiceError::DeadlineExceeded(_)) => {
-                self.metrics.deadline_exceeded_total.inc();
-                permit.fail();
+        let outcome = self.results.get_or_compute(&canonical, || {
+            end_lookup();
+            if self.metrics.queue_depth.get() >= self.resilience.degrade_queue_depth {
+                self.metrics.overload_shed_total.inc();
+                return Err(ServiceError::Overloaded(1));
             }
-            Err(e) if e.is_transient() => permit.fail(),
-            Err(_) => permit.absolve(),
-        }
-        result
+            let permit = self
+                .breaker
+                .admit()
+                .inspect_err(|_| self.metrics.overload_shed_total.inc())?;
+            // The permit's drop guard records a failure if the run (or
+            // the injector) panics and unwinds past us — the
+            // single-flight layer catches the panic, the breaker still
+            // counts it.
+            let cancel = CancelToken::with_budget(budget);
+            let result = self
+                .chaos
+                .inject(&canonical)
+                .and_then(|()| work.run(&self.engine, &cancel, progress, spans));
+            match &result {
+                Ok(_) => permit.succeed(),
+                Err(ServiceError::DeadlineExceeded(_)) => {
+                    self.metrics.deadline_exceeded_total.inc();
+                    permit.fail();
+                }
+                Err(e) if e.is_transient() => permit.fail(),
+                Err(_) => permit.absolve(),
+            }
+            result
+        });
+        end_lookup();
+        outcome
     }
 
     /// Whether the node is currently shedding cold computes: the

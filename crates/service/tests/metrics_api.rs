@@ -9,7 +9,9 @@
 
 mod common;
 
-use common::{csv_of, start};
+use std::time::{Duration, Instant};
+
+use common::{csv_of, parse_json, poll_done, register, start, str_of};
 use mobipriv_obs::scrape;
 use mobipriv_service::client::{header, request_full};
 use mobipriv_synth::scenarios;
@@ -64,6 +66,79 @@ fn identical_requests_share_bytes_but_not_trace_ids() {
 
     let (status, _, _) = request_full(addr, "GET", "/v1/traces/deadbeef00000000", b"").unwrap();
     assert_eq!(status, 404, "unknown trace ids are 404");
+    server.shutdown();
+}
+
+/// `(stage, start_us, dur_us)` of a stored timeline, waiting for a
+/// job's timeline to land (the executor stores it after the job
+/// reads `done`).
+fn timeline(addr: std::net::SocketAddr, trace: &str) -> Vec<(String, u64, u64)> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let doc = loop {
+        let (status, _, doc) =
+            request_full(addr, "GET", &format!("/v1/traces/{trace}"), b"").unwrap();
+        match status {
+            200 => break parse_json(&doc),
+            404 if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            _ => panic!("trace {trace}: {status}"),
+        }
+    };
+    let spans = doc.get("spans").and_then(|s| s.as_arr()).expect("spans");
+    spans
+        .iter()
+        .map(|span| {
+            let field = |name| span.get(name).and_then(|v| v.as_u64()).expect(name);
+            (
+                str_of(span, "stage").to_owned(),
+                field("start_us"),
+                field("dur_us"),
+            )
+        })
+        .collect()
+}
+
+/// A cold request's stages follow one another: `cache_lookup` ends
+/// where the computation starts, so no span encloses another and
+/// `mobipriv_stage_seconds` never counts one interval twice.
+#[test]
+fn cold_stages_are_disjoint() {
+    let csv = csv_of(&scenarios::serving_day(6, 5).dataset);
+    let server = start(|_| {});
+    let addr = server.addr();
+    let (status, headers, _) = request_full(
+        addr,
+        "POST",
+        "/v1/anonymize?mechanism=promesse&seed=11&report=1",
+        &csv,
+    )
+    .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-mobipriv-cache"), Some("miss"));
+    let one_shot = header(&headers, "x-mobipriv-trace").unwrap().to_owned();
+
+    let digest = register(addr, &csv);
+    let target = format!("/v1/jobs?dataset={digest}&mechanism=pipeline&seed=11&report=1");
+    let (status, _, body) = request_full(addr, "POST", &target, b"").unwrap();
+    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let done = poll_done(addr, str_of(&parse_json(&body), "id"));
+    assert_eq!(str_of(&done, "cache"), "miss");
+    let job = str_of(&done, "trace").to_owned();
+
+    for trace in [one_shot, job] {
+        let spans = timeline(addr, &trace);
+        for stage in ["cache_lookup", "compute", "report", "serialize"] {
+            let count = spans.iter().filter(|(s, _, _)| s == stage).count();
+            assert_eq!(count, 1, "one {stage} span in {spans:?}");
+        }
+        for (i, (a, a_start, a_dur)) in spans.iter().enumerate() {
+            for (b, b_start, b_dur) in &spans[i + 1..] {
+                assert!(
+                    a_start + a_dur <= *b_start || b_start + b_dur <= *a_start,
+                    "{a} overlaps {b} in {spans:?}"
+                );
+            }
+        }
+    }
     server.shutdown();
 }
 
