@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use mobipriv_attacks::{HomeAttack, PoiAttack, ReidentAttack, Tracker};
 use mobipriv_core::{Engine, GeoInd, KDelta, Mechanism, Promesse};
@@ -105,14 +105,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
-/// Cold-vs-warm serving measurements for the `jobs_cache` section.
-struct JobsCacheBench {
-    register_s: f64,
-    cold_s: f64,
-    warm_s: f64,
-    hit_rate: f64,
-}
-
 /// One request against the in-process server (panics on I/O failure —
 /// loopback to our own process either works or the bench is broken).
 fn http(addr: std::net::SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
@@ -129,30 +121,33 @@ fn json_u64_field(body: &[u8], field: &str) -> u64 {
         .unwrap_or_else(|| panic!("no `{field}` in {}", String::from_utf8_lossy(body)))
 }
 
-/// Boots an in-process server and times the serving system's two
-/// regimes on the same workload and mechanism: *cold* = the one-shot
-/// full-body `POST /v1/anonymize` (upload + parse + compute +
-/// download — what every request cost before the dataset registry,
-/// made a guaranteed cache miss by a fresh seed per iteration), and
-/// *warm* = the registered-digest job cycle (`POST /v1/jobs` answered
-/// `done` from the content-addressed cache + `GET /v1/results`).
-/// Asserts warm bytes ≡ cold bytes for the shared key on every run.
-fn bench_jobs_cache(dataset: &Dataset, seed: u64, iters: usize) -> JobsCacheBench {
-    let server = Server::bind(ServerConfig::default())
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server");
-    let addr = server.addr();
+/// What [`time_serving`] measured on one server.
+struct Serving {
+    register_s: f64,
+    cold_s: f64,
+    warm_s: f64,
+    /// The warm job submission, for repeating the hit elsewhere.
+    warm_target: String,
+    /// The first cold response: every warm hit must equal it.
+    reference: Vec<u8>,
+}
+
+/// Times the serving system's regimes on the server at `addr`: the
+/// dataset registration, then *cold* = the one-shot full-body `POST
+/// /v1/anonymize` (upload + parse + compute + download — what every
+/// request cost before the dataset registry, made a guaranteed cache
+/// miss by a fresh seed per iteration), then *warm* = the
+/// registered-digest job cycle for the first cold key (see
+/// [`time_hits`]).
+fn time_serving(addr: std::net::SocketAddr, dataset: &Dataset, seed: u64, iters: usize) -> Serving {
     let mut body = Vec::new();
     write_csv(dataset, &mut body).expect("serialize workload");
-
     let started = Instant::now();
     let (status, response) = http(addr, "POST", "/v1/datasets", &body);
     assert_eq!(status, 200, "dataset registration failed");
     let register_s = started.elapsed().as_secs_f64();
     let digest = json_str_field(&response, "digest");
 
-    // Cold: a fresh seed each iteration keeps every request a miss.
     let mut cold_s = f64::INFINITY;
     let mut reference = Vec::new();
     for i in 0..iters {
@@ -169,22 +164,46 @@ fn bench_jobs_cache(dataset: &Dataset, seed: u64, iters: usize) -> JobsCacheBenc
         }
     }
 
-    // Warm: the job cycle for the first cold key — the sync path and
-    // the job engine share one cache, so the submission answers `done`.
-    let mut warm_s = f64::INFINITY;
-    let target = format!("/v1/jobs?dataset={digest}&mechanism=promesse&alpha=100&seed={seed}");
+    let warm_target = format!("/v1/jobs?dataset={digest}&mechanism=promesse&alpha=100&seed={seed}");
+    let warm_s = time_hits(addr, &warm_target, &reference, iters);
+    Serving {
+        register_s,
+        cold_s,
+        warm_s,
+        warm_target,
+        reference,
+    }
+}
+
+/// The best of `iters` warm job cycles — `POST` the job `target`,
+/// answered `done` from the content-addressed cache (the sync path and
+/// the job engine share one cache), then `GET /v1/results` — each
+/// asserted to return `reference`'s bytes.
+fn time_hits(addr: std::net::SocketAddr, target: &str, reference: &[u8], iters: usize) -> f64 {
+    let mut best = f64::INFINITY;
     for _ in 0..iters {
         let started = Instant::now();
-        let (status, job) = http(addr, "POST", &target, b"");
+        let (status, job) = http(addr, "POST", target, b"");
         assert_eq!(status, 200, "warm submission was not answered done");
         let id = json_str_field(&job, "id");
         let (status, out) = http(addr, "GET", &format!("/v1/results/{id}"), b"");
-        warm_s = warm_s.min(started.elapsed().as_secs_f64());
+        best = best.min(started.elapsed().as_secs_f64());
         assert_eq!(status, 200, "warm fetch failed");
         assert_eq!(out, reference, "warm≡cold bytes violated");
     }
+    best
+}
 
-    let (_, stats) = http(addr, "GET", "/v1/stats", b"");
+/// The `jobs_cache` section: [`time_serving`] on an in-memory server,
+/// plus the cache hit rate, with every warm request asserted to be
+/// served without recomputation.
+fn bench_jobs_cache(dataset: &Dataset, seed: u64, iters: usize) -> (Serving, f64) {
+    let server = Server::bind(ServerConfig::default())
+        .expect("bind ephemeral port")
+        .spawn()
+        .expect("spawn server");
+    let serving = time_serving(server.addr(), dataset, seed, iters);
+    let (_, stats) = http(server.addr(), "GET", "/v1/stats", b"");
     let hits = json_u64_field(&stats, "cache_hits");
     let misses = json_u64_field(&stats, "cache_misses");
     assert_eq!(
@@ -193,12 +212,7 @@ fn bench_jobs_cache(dataset: &Dataset, seed: u64, iters: usize) -> JobsCacheBenc
         "warm requests recomputed"
     );
     server.shutdown();
-    JobsCacheBench {
-        register_s,
-        cold_s,
-        warm_s,
-        hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-    }
+    (serving, hits as f64 / (hits + misses).max(1) as f64)
 }
 
 /// Durability measurements for the `persistence` section.
@@ -211,13 +225,15 @@ struct PersistenceBench {
 }
 
 /// Times the serving system's third regime: the *warm-restart* hit. A
-/// server with a data dir computes a key, shuts down, and a fresh
-/// server boots on the same directory (journal replay and blob
-/// re-hashing happen at boot, outside the timed window); the timed
-/// request is the job-cycle hit after boot, asserted byte-identical to
-/// the pre-restart bytes with zero recomputation. Also times a pure
-/// journal replay (1 000 metadata records, no blobs) through the same
-/// `Store::open` the server boots with.
+/// server with a data dir runs [`time_serving`] (on the persistent
+/// server the blob + journal write-through is part of the cold path's
+/// cost) and shuts down, and a fresh server boots on the same directory
+/// (journal replay and blob re-hashing happen at boot, outside the
+/// timed window); the timed request is the job-cycle hit after boot,
+/// asserted byte-identical to the pre-restart bytes with zero
+/// recomputation. Also times a pure journal replay (1 000 metadata
+/// records, no blobs) through the same `Store::open` the server boots
+/// with.
 fn bench_persistence(dataset: &Dataset, seed: u64, iters: usize) -> PersistenceBench {
     let root = std::env::temp_dir().join(format!("mobipriv-perf-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -231,45 +247,7 @@ fn bench_persistence(dataset: &Dataset, seed: u64, iters: usize) -> PersistenceB
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server");
-    let addr = server.addr();
-    let mut body = Vec::new();
-    write_csv(dataset, &mut body).expect("serialize workload");
-    let (status, response) = http(addr, "POST", "/v1/datasets", &body);
-    assert_eq!(status, 200, "dataset registration failed");
-    let digest = json_str_field(&response, "digest");
-
-    // Cold: a fresh seed per iteration keeps every request a miss; on
-    // the persistent server the blob + journal write-through is part of
-    // the cold path's cost.
-    let mut cold_s = f64::INFINITY;
-    let mut reference = Vec::new();
-    for i in 0..iters {
-        let target = format!(
-            "/v1/anonymize?mechanism=promesse&alpha=100&seed={}",
-            seed.wrapping_add(i as u64)
-        );
-        let started = Instant::now();
-        let (status, out) = http(addr, "POST", &target, &body);
-        cold_s = cold_s.min(started.elapsed().as_secs_f64());
-        assert_eq!(status, 200, "cold anonymize failed");
-        if i == 0 {
-            reference = out;
-        }
-    }
-
-    // Warm, same process: job-cycle hits on the live server.
-    let target = format!("/v1/jobs?dataset={digest}&mechanism=promesse&alpha=100&seed={seed}");
-    let mut warm_mem_s = f64::INFINITY;
-    for _ in 0..iters {
-        let started = Instant::now();
-        let (status, job) = http(addr, "POST", &target, b"");
-        assert_eq!(status, 200, "warm submission was not answered done");
-        let id = json_str_field(&job, "id");
-        let (status, out) = http(addr, "GET", &format!("/v1/results/{id}"), b"");
-        warm_mem_s = warm_mem_s.min(started.elapsed().as_secs_f64());
-        assert_eq!(status, 200, "warm fetch failed");
-        assert_eq!(out, reference, "warm≡cold bytes violated");
-    }
+    let serving = time_serving(server.addr(), dataset, seed, iters);
     server.shutdown();
 
     // Warm restart: a fresh server on the same directory, the cache
@@ -279,17 +257,7 @@ fn bench_persistence(dataset: &Dataset, seed: u64, iters: usize) -> PersistenceB
         .spawn()
         .expect("respawn server");
     let addr = server.addr();
-    let mut warm_restart_s = f64::INFINITY;
-    for _ in 0..iters {
-        let started = Instant::now();
-        let (status, job) = http(addr, "POST", &target, b"");
-        assert_eq!(status, 200, "restart submission was not answered done");
-        let id = json_str_field(&job, "id");
-        let (status, out) = http(addr, "GET", &format!("/v1/results/{id}"), b"");
-        warm_restart_s = warm_restart_s.min(started.elapsed().as_secs_f64());
-        assert_eq!(status, 200, "restart fetch failed");
-        assert_eq!(out, reference, "restart hit is not byte-identical");
-    }
+    let warm_restart_s = time_hits(addr, &serving.warm_target, &serving.reference, iters);
     let (_, stats) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(
         json_u64_field(&stats, "computations"),
@@ -323,8 +291,8 @@ fn bench_persistence(dataset: &Dataset, seed: u64, iters: usize) -> PersistenceB
     }
     let _ = std::fs::remove_dir_all(&root);
     PersistenceBench {
-        cold_s,
-        warm_mem_s,
+        cold_s: serving.cold_s,
+        warm_mem_s: serving.warm_s,
         warm_restart_s,
         replay_s_per_1k: replay_s * 1000.0 / records as f64,
         records_replayed: records,
@@ -691,26 +659,27 @@ fn main() -> ExitCode {
     // cycle answered by the content-addressed result cache), over a
     // real socket against an in-process server.
     eprintln!("timing jobs cache (cold one-shot vs warm job cycle)…");
-    let jobs_cache = bench_jobs_cache(dataset, args.seed, args.iters);
+    let (jobs_cache, hit_rate) = bench_jobs_cache(dataset, args.seed, args.iters);
 
     eprintln!("timing persistence (cold vs warm vs warm-restart, journal replay)…");
     let persistence = bench_persistence(dataset, args.seed, args.iters);
 
-    // Observability overhead: the same engine run with the metric and
-    // profiling hooks live vs disabled. The hooks cost two clock reads
-    // and a handful of atomic increments per protect() — the min-of-N
-    // ratio on a multi-millisecond run is what CI gates at ≤ 1.05x.
-    // Outputs are asserted identical: observability reads the
+    // Observability overhead: the engine's run against the same stage
+    // loop run bare by `Mechanism::protect`, under the same seed. The
+    // engine adds two clock reads and a few registry updates per run —
+    // the min-of-N ratio on a multi-millisecond run is what CI gates at
+    // ≤ 1.05x. Outputs are asserted identical: observability reads the
     // computation, never the other way around.
-    eprintln!("timing observability overhead (hooks on vs off)…");
+    eprintln!("timing observability overhead (engine run vs bare stage loop)…");
     let engine = Engine::sequential();
     let obs_iters = args.iters.max(5);
-    mobipriv_obs::set_enabled(true);
-    let (obs_on_s, on_out) = time_min(obs_iters, || engine.protect(&promesse, dataset, args.seed));
-    mobipriv_obs::set_enabled(false);
-    let (obs_off_s, off_out) =
-        time_min(obs_iters, || engine.protect(&promesse, dataset, args.seed));
-    mobipriv_obs::set_enabled(true);
+    let engine_seed = StdRng::seed_from_u64(args.seed).next_u64();
+    let (obs_on_s, on_out) = time_min(obs_iters, || {
+        engine.protect(&promesse, dataset, engine_seed)
+    });
+    let (obs_off_s, off_out) = time_min(obs_iters, || {
+        promesse.protect(dataset, &mut StdRng::seed_from_u64(args.seed))
+    });
     assert_eq!(on_out, off_out, "observability changed engine output");
     let obs_ratio = obs_on_s / obs_off_s.max(1e-12);
 
@@ -788,7 +757,7 @@ fn main() -> ExitCode {
         jobs_cache.cold_s,
         jobs_cache.warm_s,
         jobs_cache.cold_s / jobs_cache.warm_s.max(1e-12),
-        jobs_cache.hit_rate,
+        hit_rate,
     );
     let _ = write!(
         json,
@@ -835,58 +804,6 @@ fn main() -> ExitCode {
     );
     json.push_str("}\n");
 
-    for (name, naive_s, indexed_s) in &paths {
-        eprintln!(
-            "{name:>14}: naive {:>9.2} ms, indexed {:>9.2} ms -> {:.2}x",
-            naive_s * 1e3,
-            indexed_s * 1e3,
-            naive_s / indexed_s.max(1e-12),
-        );
-    }
-    for (name, read_mfix, write_mfix, bytes_per_fix) in &parse_rows {
-        eprintln!(
-            "  parse {name:>7}: read {read_mfix:>7.1} Mfix/s, write {write_mfix:>7.1} Mfix/s, {bytes_per_fix:.1} B/fix"
-        );
-    }
-    eprintln!(
-        "    jobs_cache: cold  {:>9.2} ms, warm    {:>9.2} ms -> {:.2}x (register {:.2} ms, hit rate {:.0}%)",
-        jobs_cache.cold_s * 1e3,
-        jobs_cache.warm_s * 1e3,
-        jobs_cache.cold_s / jobs_cache.warm_s.max(1e-12),
-        jobs_cache.register_s * 1e3,
-        jobs_cache.hit_rate * 100.0,
-    );
-    eprintln!(
-        "   persistence: cold  {:>9.2} ms, restart {:>9.2} ms hit ({:.2}x in-memory warm, replay {:.2} ms/1k records)",
-        persistence.cold_s * 1e3,
-        persistence.warm_restart_s * 1e3,
-        persistence.warm_restart_s / persistence.warm_mem_s.max(1e-12),
-        persistence.replay_s_per_1k * 1e3,
-    );
-    eprintln!(
-        "  obs_overhead: on    {:>9.2} ms, off     {:>9.2} ms -> {:.3}x",
-        obs_on_s * 1e3,
-        obs_off_s * 1e3,
-        obs_ratio,
-    );
-    eprintln!(
-        "    resilience: token {:>9.2} ms, none    {:>9.2} ms -> {:.3}x",
-        hooks_on_s * 1e3,
-        hooks_off_s * 1e3,
-        hooks_ratio,
-    );
-    eprintln!(
-        "     keepalive: fresh {:>9.3} ms, reused  {:>9.3} ms -> {:.2}x ({} requests, {} dials)",
-        keepalive.fresh_rtt_s * 1e3,
-        keepalive.reused_rtt_s * 1e3,
-        keepalive_speedup,
-        keepalive.requests,
-        keepalive.connects,
-    );
-    eprintln!(
-        "      sharding: 1 node {:>8.1} req/s, 4 shards {:>7.1} req/s -> {:.2}x ({} cores)",
-        sharding.single_rps, sharding.sharded_rps, sharding.speedup, sharding.cores,
-    );
     if args.profile {
         let table = mobipriv_obs::profile::stage_table(
             mobipriv_obs::global(),

@@ -278,13 +278,12 @@ impl Engine {
     /// stages, never inside one, so a deadline can stop a plan after
     /// its first stage.
     ///
-    /// When global observability is on (the default; see
-    /// [`mobipriv_obs::set_enabled`]), each run records its wall time
-    /// into the `mobipriv_engine_protect_seconds{mechanism}` histogram
-    /// and its input fix count into `mobipriv_engine_fixes_total`. The
-    /// instrumentation only *reads* the computation — a couple of clock
-    /// reads and atomic adds around the stage loop, so output bytes are
-    /// identical either way.
+    /// Each run records its wall time into the global
+    /// `mobipriv_engine_protect_seconds{mechanism}` histogram and its
+    /// input fix count into `mobipriv_engine_fixes_total`. The
+    /// instrumentation only *reads* the computation — two clock reads
+    /// and a few atomic adds around the stage loop — so a run publishes
+    /// exactly what the bare stage loop (`run_plan`) publishes.
     ///
     /// # Determinism
     ///
@@ -307,9 +306,6 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<(Dataset, Report), Cancelled> {
         let plan = mechanism.stages();
-        if !mobipriv_obs::enabled() {
-            return self.run_plan(&plan, dataset, seed, cancel);
-        }
         let started = Instant::now();
         let output = self.run_plan(&plan, dataset, seed, cancel)?;
         let registry = mobipriv_obs::global();

@@ -70,14 +70,11 @@ pub fn evaluate_with(plan: &EvalPlan, threads: Option<usize>) -> EvalReport {
     }
 }
 
-/// Times `f` and, when observability is on, folds the wall time into
-/// the global `mobipriv_eval_stage_seconds{stage=…}` histogram. The
-/// result bytes never depend on it: timing reads the clock around the
-/// stage and writes to a sink the computation cannot see.
+/// Times `f` and folds the wall time into the global
+/// `mobipriv_eval_stage_seconds{stage=…}` histogram. The result bytes
+/// never depend on it: timing reads the clock around the stage and
+/// writes to a sink the computation cannot see.
 fn timed_stage<T>(stage: &'static str, f: impl FnOnce() -> T) -> T {
-    if !mobipriv_obs::enabled() {
-        return f();
-    }
     let start = std::time::Instant::now();
     let out = f();
     mobipriv_obs::global()

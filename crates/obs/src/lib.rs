@@ -12,8 +12,7 @@
 //! * **Tracing** ([`trace`]) — per-request ids derived from a
 //!   per-process atomic counter (never wall-clock randomness, so id
 //!   assignment cannot perturb anything deterministic), span timelines
-//!   with stage tags, and a bounded ring buffer of finished timelines
-//!   behind a sampling flag.
+//!   with stage tags, and a bounded ring buffer of finished timelines.
 //! * **Logging** ([`logging`]) — a leveled JSON-lines logger on stderr
 //!   controlled by the `MOBIPRIV_LOG` environment variable.
 //!
@@ -22,14 +21,13 @@
 //! Instrumentation *reads* the computation and never feeds back into
 //! it: metrics and spans are write-only sinks, trace ids ride in
 //! headers and debug endpoints only, and nothing here is hashed into a
-//! seed, a cache key or a response body. Disabling observability
-//! ([`set_enabled`]) therefore changes wall-clock only — every output
-//! byte stays identical, which the service test-suite asserts.
+//! seed, a cache key or a response body, so the instrumented engine run
+//! publishes exactly what the bare stage loop publishes (the
+//! `obs_overhead` section of `mobipriv-bench-perf` asserts it).
 
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 pub mod logging;
@@ -37,24 +35,6 @@ pub mod metrics;
 pub mod profile;
 pub mod scrape;
 pub mod trace;
-
-/// Process-wide switch for the *global* instrumentation hooks (engine
-/// and eval profiling). `true` by default; the `obs_overhead` section
-/// of `mobipriv-bench-perf` flips it off and back on to measure the
-/// instrumentation overhead itself. Per-server request metrics are
-/// owned by the server and are not affected.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the global instrumentation hooks.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the global instrumentation hooks are on.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// The process-global registry, used by library layers that cannot own
 /// a handle (the `Copy` [`Engine`](../mobipriv_core/struct.Engine.html)

@@ -15,8 +15,11 @@
 //!   500 s) for every series. Counts and the sum (integer nanoseconds)
 //!   are plain `u64` adds, so merging two histograms is associative
 //!   and deterministic.
+//! * Two sets of series combine one way only, [`Registry::absorb`]:
+//!   counters and gauges add, histograms add bucket by bucket.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -124,7 +127,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A standalone histogram; see [`Registry::register_histogram`].
+    /// A standalone histogram, attached to no registry.
     pub fn new() -> Histogram {
         Histogram::default()
     }
@@ -157,27 +160,14 @@ impl Histogram {
     /// the same fixed bucket ladder, so merging is exact, associative
     /// and commutative.
     pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.inner.buckets.iter().zip(&other.inner.buckets) {
-            mine.fetch_add(theirs.load(Ordering::SeqCst), Ordering::Relaxed);
-        }
-        self.inner
-            .inf
-            .fetch_add(other.inner.inf.load(Ordering::SeqCst), Ordering::Relaxed);
-        self.inner
-            .count
-            .fetch_add(other.inner.count.load(Ordering::SeqCst), Ordering::Relaxed);
-        self.inner.sum_nanos.fetch_add(
-            other.inner.sum_nanos.load(Ordering::SeqCst),
-            Ordering::Relaxed,
-        );
+        self.absorb(&other.snapshot());
     }
 
-    /// Folds a [`HistogramSnapshot`] into this histogram — the
-    /// snapshot-shaped sibling of [`Histogram::merge_from`], used to
-    /// absorb histograms reconstructed from a remote scrape (the shard
-    /// router folding its shards' `/metrics`). Buckets align
-    /// positionally with [`BUCKET_BOUNDS`]; a snapshot with a different
-    /// bucket count contributes only the buckets both sides share.
+    /// Folds a [`HistogramSnapshot`] into this histogram, bucket by
+    /// bucket — how [`Registry::absorb`] merges histogram series.
+    /// Buckets align positionally with [`BUCKET_BOUNDS`]; a snapshot
+    /// with a different bucket count contributes only the buckets both
+    /// sides share.
     pub fn absorb(&self, snap: &HistogramSnapshot) {
         for (mine, theirs) in self.inner.buckets.iter().zip(&snap.buckets) {
             mine.fetch_add(*theirs, Ordering::Relaxed);
@@ -402,18 +392,30 @@ impl Registry {
         self.series(name, labels, help, Kind::Gauge, || Metric::Gauge(g.clone()));
     }
 
-    /// Exposes an existing [`Histogram`] handle; see
-    /// [`Registry::register_counter`].
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        h: &Histogram,
-    ) {
-        self.series(name, labels, help, Kind::Histogram, || {
-            Metric::Histogram(h.clone())
-        });
+    /// Adds every series of `other` into this registry — the one rule
+    /// by which two sets of series combine: counters and gauges add,
+    /// histograms add bucket by bucket. A series this registry lacks
+    /// arrives with `other`'s help text and kind.
+    ///
+    /// # Panics
+    ///
+    /// When a family has one kind here and another in `other`.
+    pub fn absorb(&self, other: &Registry) {
+        for sample in other.snapshot() {
+            let labels: Vec<(&str, &str)> = sample
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let (name, help) = (sample.name.as_str(), sample.help.as_str());
+            match sample.value {
+                Value::Counter(v) => self.counter(name, &labels, help).add(v),
+                Value::Gauge(v) => {
+                    self.gauge(name, &labels, help).add(v);
+                }
+                Value::Histogram(h) => self.histogram(name, &labels, help).absorb(&h),
+            }
+        }
     }
 
     /// A sorted point-in-time snapshot of every series.
@@ -438,9 +440,41 @@ impl Registry {
         out
     }
 
-    /// Renders this registry alone; see [`render_merged`].
+    /// Renders the registry as one Prometheus text exposition
+    /// document. Families and series come out in sorted order, so equal
+    /// state always renders byte-identically.
     pub fn render_prometheus(&self) -> String {
-        render_merged(&[self])
+        let families = self.families.lock().expect("metrics registry poisoned");
+        let mut out = String::new();
+        for (name, family) in families.iter() {
+            let _ = writeln!(out, "# HELP {name} {}", family.help);
+            let _ = writeln!(out, "# TYPE {name} {}", family.kind.type_name());
+            for (labels, metric) in &family.series {
+                let plain = render_labels(labels, None);
+                match metric {
+                    Metric::Counter(c) => {
+                        let _ = writeln!(out, "{name}{plain} {}", c.get());
+                    }
+                    Metric::Gauge(g) => {
+                        let _ = writeln!(out, "{name}{plain} {}", g.get());
+                    }
+                    Metric::Histogram(h) => {
+                        let h = h.snapshot();
+                        let mut cumulative = 0u64;
+                        for (n, bound) in h.buckets.iter().zip(BUCKET_BOUNDS) {
+                            cumulative += n;
+                            let le = render_labels(labels, Some(("le", &format_bound(bound))));
+                            let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
+                        }
+                        let le = render_labels(labels, Some(("le", "+Inf")));
+                        let _ = writeln!(out, "{name}_bucket{le} {}", cumulative + h.inf);
+                        let _ = writeln!(out, "{name}_sum{plain} {}", h.sum_seconds());
+                        let _ = writeln!(out, "{name}_count{plain} {}", h.count);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -478,85 +512,6 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
 /// scraper (`f64` default `Display`: `0.000001`, `0.5`, `500`).
 fn format_bound(bound: f64) -> String {
     format!("{bound}")
-}
-
-/// Renders one or more registries as a single Prometheus text
-/// exposition document. Families are merged by name and label set —
-/// duplicate counter/histogram series add, duplicate gauges take the
-/// later registry's value — and everything is emitted in sorted order,
-/// so equal state always renders byte-identically.
-pub fn render_merged(registries: &[&Registry]) -> String {
-    type Series = BTreeMap<Vec<(String, String)>, Value>;
-    // name -> (help, kind, labels -> value)
-    let mut merged: BTreeMap<String, (String, Kind, Series)> = BTreeMap::new();
-    for registry in registries {
-        for sample in registry.snapshot() {
-            let family = merged
-                .entry(sample.name.clone())
-                .or_insert_with(|| (sample.help.clone(), sample.kind, BTreeMap::new()));
-            match family.2.entry(sample.labels) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(sample.value);
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    match (slot.get_mut(), sample.value) {
-                        (Value::Counter(a), Value::Counter(b)) => *a += b,
-                        (Value::Gauge(a), Value::Gauge(b)) => *a = b,
-                        (Value::Histogram(a), Value::Histogram(b)) => {
-                            for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
-                                *x += y;
-                            }
-                            a.inf += b.inf;
-                            a.count += b.count;
-                            a.sum_nanos += b.sum_nanos;
-                        }
-                        _ => {} // mixed kinds across registries: keep the first
-                    }
-                }
-            }
-        }
-    }
-    let mut out = String::new();
-    for (name, (help, kind, series)) in &merged {
-        out.push_str(&format!("# HELP {name} {help}\n"));
-        out.push_str(&format!("# TYPE {name} {}\n", kind.type_name()));
-        for (labels, value) in series {
-            match value {
-                Value::Counter(v) => {
-                    out.push_str(&format!("{name}{} {v}\n", render_labels(labels, None)));
-                }
-                Value::Gauge(v) => {
-                    out.push_str(&format!("{name}{} {v}\n", render_labels(labels, None)));
-                }
-                Value::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for (i, n) in h.buckets.iter().enumerate() {
-                        cumulative += n;
-                        out.push_str(&format!(
-                            "{name}_bucket{} {cumulative}\n",
-                            render_labels(labels, Some(("le", &format_bound(BUCKET_BOUNDS[i])))),
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "{name}_bucket{} {}\n",
-                        render_labels(labels, Some(("le", "+Inf"))),
-                        cumulative + h.inf,
-                    ));
-                    out.push_str(&format!(
-                        "{name}_sum{} {}\n",
-                        render_labels(labels, None),
-                        h.sum_seconds(),
-                    ));
-                    out.push_str(&format!(
-                        "{name}_count{} {}\n",
-                        render_labels(labels, None),
-                        h.count,
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -673,20 +628,70 @@ mod tests {
     }
 
     #[test]
-    fn registered_handles_share_state_and_merging_adds() {
+    fn registered_handles_share_state() {
         let registry = Registry::new();
         let external = Counter::new();
         external.add(3);
         registry.register_counter("shared_total", &[], "externally owned", &external);
         external.add(2);
         assert!(registry.render_prometheus().contains("shared_total 5"));
+    }
 
-        let other = Registry::new();
-        other
-            .counter("shared_total", &[], "externally owned")
-            .add(10);
-        let merged = render_merged(&[&registry, &other]);
-        assert!(merged.contains("shared_total 15"), "{merged}");
+    #[test]
+    fn absorb_adds_every_kind_and_brings_missing_series() {
+        let ours = Registry::new();
+        ours.counter("req_total", &[("status", "200")], "requests")
+            .add(3);
+        ours.gauge("depth", &[], "queue depth").set(2);
+        ours.histogram("lat_seconds", &[], "latency").observe(1e-3);
+        let theirs = Registry::new();
+        theirs
+            .counter("req_total", &[("status", "200")], "requests")
+            .add(4);
+        theirs.gauge("depth", &[], "queue depth").set(-5);
+        let h = theirs.histogram("lat_seconds", &[], "latency");
+        h.observe(1e-3);
+        h.observe(0.3);
+        theirs
+            .histogram("only_theirs_seconds", &[("stage", "x")], "arrives whole")
+            .observe(0.3);
+
+        ours.absorb(&theirs);
+        assert_eq!(ours.counter("req_total", &[("status", "200")], "").get(), 7);
+        assert_eq!(ours.gauge("depth", &[], "").get(), -3, "gauges add");
+        let snap = ours.histogram("lat_seconds", &[], "").snapshot();
+        let bucket = |bound: f64| BUCKET_BOUNDS.iter().position(|&b| b == bound).unwrap();
+        assert_eq!(snap.count, 3);
+        assert_eq!(snap.buckets[bucket(1e-3)], 2);
+        assert_eq!(snap.buckets[bucket(0.5)], 1);
+        assert_eq!(snap.sum_nanos, 302_000_000);
+        let text = ours.render_prometheus();
+        assert!(
+            text.contains(
+                "# HELP only_theirs_seconds arrives whole\n\
+                 # TYPE only_theirs_seconds histogram\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("only_theirs_seconds_count{stage=\"x\"} 1"),
+            "{text}"
+        );
+        assert_eq!(
+            theirs.counter("req_total", &[("status", "200")], "").get(),
+            4,
+            "the absorbed registry is left as it was"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as gauge and counter")]
+    fn absorb_keeps_the_kind_check() {
+        let ours = Registry::new();
+        ours.gauge("x", &[], "");
+        let theirs = Registry::new();
+        theirs.counter("x", &[], "");
+        ours.absorb(&theirs);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{HistogramSnapshot, Registry, BUCKET_BOUNDS};
+use crate::metrics::{HistogramSnapshot, Registry, Value, BUCKET_BOUNDS};
 
 /// One parsed sample line.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +29,9 @@ pub struct Scrape {
 }
 
 /// Parses a text exposition document. `# TYPE` and `# HELP` comment
-/// lines are captured (they drive [`Scrape::fold`]'s reconstruction);
-/// other comments are skipped.
+/// lines are captured (they drive the reconstruction of typed series
+/// behind [`Scrape::fold`] and [`Scrape::histogram_quantile`]); other
+/// comments are skipped.
 ///
 /// # Errors
 ///
@@ -151,88 +152,84 @@ impl Scrape {
         self.types.get(name).map(String::as_str)
     }
 
-    /// Folds several scrapes into one [`Registry`], summing across
-    /// documents: counters and gauges add (a cluster-wide queue depth
-    /// is the *sum* of the shards' depths), histograms merge
-    /// bucket-by-bucket (exact — every node uses the same fixed bucket
-    /// ladder). Families without a `# TYPE` declaration are skipped, as
-    /// are histogram buckets whose `le` is not on the shared ladder.
-    /// Rendering the returned registry (alone or through
-    /// `render_merged`) yields the cluster view of the inputs.
+    /// Folds several scrapes into one [`Registry`]: each scrape becomes
+    /// a registry of its own, absorbed with [`Registry::absorb`], so
+    /// counters and gauges add (a cluster-wide queue depth is the *sum*
+    /// of the shards' depths) and histograms merge bucket by bucket
+    /// (exact — every node uses the same fixed bucket ladder).
     pub fn fold(scrapes: &[&Scrape]) -> Registry {
         let registry = Registry::new();
         for scrape in scrapes {
-            // Histogram series need regrouping: one logical histogram
-            // arrives as `_bucket`/`_sum`/`_count` sample lines.
-            // (family, labels-without-le) → snapshot under assembly.
-            type Key = (String, Vec<(String, String)>);
-            let mut histograms: BTreeMap<Key, HistogramSnapshot> = BTreeMap::new();
-            for sample in &scrape.samples {
-                let (family, kind) = match scrape.types.get(&sample.name) {
-                    Some(kind) => (sample.name.clone(), kind.as_str()),
-                    None => {
-                        // Histogram sample lines carry suffixed names;
-                        // map them back to their declared family.
-                        match histogram_family(scrape, &sample.name) {
-                            Some(family) => (family, "histogram"),
-                            None => continue,
-                        }
-                    }
-                };
-                let labels: Vec<(&str, &str)> = sample
-                    .labels
-                    .iter()
-                    .filter(|(k, _)| !(kind == "histogram" && k == "le"))
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                let help = scrape.helps.get(&family).cloned().unwrap_or_default();
-                match kind {
-                    "counter" => {
-                        registry
-                            .counter(&family, &labels, &help)
-                            .add(sample.value.max(0.0) as u64);
-                    }
-                    "gauge" => {
-                        registry
-                            .gauge(&family, &labels, &help)
-                            .add(sample.value as i64);
-                    }
-                    "histogram" => {
-                        let key = (
-                            family,
-                            labels
-                                .iter()
-                                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                                .collect(),
-                        );
-                        let snap = histograms.entry(key).or_insert_with(|| HistogramSnapshot {
-                            buckets: vec![0; BUCKET_BOUNDS.len()],
-                            inf: 0,
-                            count: 0,
-                            sum_nanos: 0,
-                        });
-                        absorb_histogram_sample(snap, sample);
-                    }
-                    _ => {}
-                }
+            registry.absorb(&scrape.to_registry());
+        }
+        registry
+    }
+
+    /// This scrape as a registry: every family with a `# TYPE`
+    /// declaration, with its help text. A histogram is reassembled from
+    /// its `_bucket`/`_sum`/`_count` lines; buckets whose `le` is not
+    /// on the shared ladder are skipped. Rendering the registry of a
+    /// rendered registry reproduces it byte for byte.
+    fn to_registry(&self) -> Registry {
+        let registry = Registry::new();
+        // (family, labels-without-le) → snapshot under assembly.
+        type Key = (String, Vec<(String, String)>);
+        let mut histograms: BTreeMap<Key, HistogramSnapshot> = BTreeMap::new();
+        for sample in &self.samples {
+            let (family, kind) = match self.types.get(&sample.name) {
+                Some(kind) => (sample.name.clone(), kind.as_str()),
+                // Histogram sample lines carry suffixed names; map them
+                // back to their declared family.
+                None => match histogram_family(self, &sample.name) {
+                    Some(family) => (family, "histogram"),
+                    None => continue,
+                },
+            };
+            if kind == "histogram" {
+                let labels = sample.labels.iter().filter(|(k, _)| k != "le").cloned();
+                let snap = histograms
+                    .entry((family, labels.collect()))
+                    .or_insert_with(|| HistogramSnapshot {
+                        buckets: vec![0; BUCKET_BOUNDS.len()],
+                        inf: 0,
+                        count: 0,
+                        sum_nanos: 0,
+                    });
+                absorb_histogram_sample(snap, sample);
+                continue;
             }
-            for ((family, labels), mut snap) in histograms {
-                // The wire carries cumulative buckets; the snapshot
-                // wants per-bucket counts.
-                let mut previous = 0;
-                for bucket in &mut snap.buckets {
-                    let cumulative = *bucket;
-                    *bucket = cumulative.saturating_sub(previous);
-                    previous = cumulative;
-                }
-                snap.inf = snap.inf.saturating_sub(previous);
-                let labels: Vec<(&str, &str)> = labels
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                let help = scrape.helps.get(&family).cloned().unwrap_or_default();
-                registry.histogram(&family, &labels, &help).absorb(&snap);
+            let help = self.helps.get(&family).map_or("", String::as_str);
+            let labels: Vec<(&str, &str)> = sample
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            match kind {
+                "counter" => registry
+                    .counter(&family, &labels, help)
+                    .add(sample.value.max(0.0) as u64),
+                "gauge" => registry
+                    .gauge(&family, &labels, help)
+                    .set(sample.value as i64),
+                _ => {}
             }
+        }
+        for ((family, labels), mut snap) in histograms {
+            // The wire carries cumulative buckets; the snapshot wants
+            // per-bucket counts.
+            let mut previous = 0;
+            for bucket in &mut snap.buckets {
+                let cumulative = *bucket;
+                *bucket = cumulative.saturating_sub(previous);
+                previous = cumulative;
+            }
+            snap.inf = snap.inf.saturating_sub(previous);
+            let labels: Vec<(&str, &str)> = labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let help = self.helps.get(&family).map_or("", String::as_str);
+            registry.histogram(&family, &labels, help).absorb(&snap);
         }
         registry
     }
@@ -273,11 +270,11 @@ impl Scrape {
         out.into_iter().collect()
     }
 
-    /// Estimates a quantile of histogram `name{labels}` from its
-    /// cumulative `_bucket` samples, optionally relative to a
-    /// `baseline` scrape (the delta isolates one run's observations
-    /// from a server's lifetime totals). `None` when the histogram is
-    /// absent or empty over the window.
+    /// Estimates a quantile of histogram `name{labels}` with
+    /// [`HistogramSnapshot::quantile`], optionally over the window since
+    /// a `baseline` scrape (subtracting the baseline's snapshot isolates
+    /// one run's observations from a server's lifetime totals). `None`
+    /// when the histogram is absent or empty over the window.
     pub fn histogram_quantile(
         &self,
         name: &str,
@@ -285,65 +282,28 @@ impl Scrape {
         q: f64,
         baseline: Option<&Scrape>,
     ) -> Option<f64> {
-        let bucket_name = format!("{name}_bucket");
-        // Cumulative counts per `le`, current minus baseline.
-        let mut cumulative: Vec<(f64, f64)> = Vec::new();
-        for s in self.samples.iter().filter(|s| s.name == bucket_name) {
-            let (le, others): (Vec<_>, Vec<_>) =
-                s.labels.iter().cloned().partition(|(k, _)| k == "le");
-            let want: bool = {
-                let mut want_labels: Vec<(String, String)> = labels
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                    .collect();
-                want_labels.sort();
-                others == want_labels
-            };
-            if !want {
-                continue;
+        let mut want: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+            .collect();
+        want.sort();
+        let histogram = |scrape: &Scrape| {
+            let samples = scrape.to_registry().snapshot();
+            samples.into_iter().find_map(|s| match s.value {
+                Value::Histogram(h) if s.name == name && s.labels == want => Some(h),
+                _ => None,
+            })
+        };
+        let mut window = histogram(self)?;
+        if let Some(base) = baseline.and_then(&histogram) {
+            for (n, b) in window.buckets.iter_mut().zip(&base.buckets) {
+                *n = n.saturating_sub(*b);
             }
-            let le_value = match le.first().map(|(_, v)| v.as_str()) {
-                Some("+Inf") | Some("Inf") => f64::INFINITY,
-                Some(v) => v.parse::<f64>().ok()?,
-                None => continue,
-            };
-            let mut count = s.value;
-            if let Some(base) = baseline {
-                let mut base_labels: Vec<(&str, &str)> = labels.to_vec();
-                let le_text = le.first().map(|(_, v)| v.clone()).unwrap_or_default();
-                base_labels.push(("le", &le_text));
-                count -= base.value(&bucket_name, &base_labels).unwrap_or(0.0);
-            }
-            cumulative.push((le_value, count));
+            window.inf = window.inf.saturating_sub(base.inf);
+            window.count = window.count.saturating_sub(base.count);
+            window.sum_nanos = window.sum_nanos.saturating_sub(base.sum_nanos);
         }
-        if cumulative.is_empty() {
-            return None;
-        }
-        cumulative.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le values are not NaN"));
-        let total = cumulative.last()?.1;
-        if total <= 0.0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total).ceil().max(1.0);
-        for (le, cum) in &cumulative {
-            if *cum >= rank {
-                return Some(*le);
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// The smallest bucket width containing `value` — the resolution of
-    /// a quantile estimate at that magnitude.
-    pub fn bucket_width_at(value: f64) -> f64 {
-        let mut lower = 0.0;
-        for &bound in &BUCKET_BOUNDS {
-            if value <= bound {
-                return bound - lower;
-            }
-            lower = bound;
-        }
-        f64::INFINITY
+        window.quantile(q)
     }
 }
 

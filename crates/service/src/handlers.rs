@@ -20,7 +20,6 @@ use std::time::Instant;
 use mobipriv_eval::Json;
 use mobipriv_model::{digest::dataset_digest, Dataset, DatasetStream, ModelError, WireFormat};
 use mobipriv_obs::logging::{self, FieldValue};
-use mobipriv_obs::metrics::render_merged;
 use mobipriv_obs::trace::{next_trace_id, SpanRecorder};
 
 use crate::cache::{result_key, CacheOutcome, CachedResult};
@@ -75,7 +74,7 @@ impl Service for AppState {
         // compute chain; the id always reaches the client via
         // `x-mobipriv-trace`, whether or not the timeline is sampled.
         let rec = SpanRecorder::new(next_trace_id());
-        let head = rec.time("parse", read_head);
+        let head = rec.time("head", read_head);
         (Exchange { started, rec }, head)
     }
 
@@ -484,13 +483,10 @@ fn fetch_result(key: &str, state: &AppState) -> Result<Response, ServiceError> {
     }
 }
 
-/// `GET /metrics` — the Prometheus text exposition of the per-server
-/// registry merged with the process-global engine/eval registry. Gauges
-/// are refreshed from their owning components at scrape time, so this
-/// endpoint and `/v1/stats` always agree.
+/// `GET /metrics` — the Prometheus text exposition of
+/// [`AppState::metrics_view`], the registry `/v1/stats` renders too.
 fn metrics_text(state: &AppState) -> Response {
-    state.refresh_gauges();
-    let text = render_merged(&[&state.metrics.registry, mobipriv_obs::global()]);
+    let text = state.metrics_view().render_prometheus();
     Response::ok("text/plain; version=0.0.4", text.into_bytes())
 }
 
@@ -521,14 +517,12 @@ fn trace_detail(id: &str, state: &AppState) -> Result<Response, ServiceError> {
     Ok(Response::json(200, &doc))
 }
 
-/// `GET /v1/stats` — the same two registries `GET /metrics` renders,
-/// as JSON: the cache, registry, job and store counters as flat fields
-/// (including the single-flight computation counter the stress tests
-/// assert on), and every series under `"metrics"`.
+/// `GET /v1/stats` — the registry `GET /metrics` renders, as JSON: the
+/// cache, registry, job and store counters as flat fields (including
+/// the single-flight computation counter the stress tests assert on),
+/// and every series under `"metrics"`.
 fn stats(state: &AppState) -> Response {
-    state.refresh_gauges();
-    let doc = stats_json(&[&state.metrics.registry, mobipriv_obs::global()]);
-    Response::json(200, &doc)
+    Response::json(200, &stats_json(&state.metrics_view()))
 }
 
 /// `GET /v1/evaluate[?preset=smoke|full][&scenario=…][&mechanism=…][&seed=…][&timings=1]`

@@ -28,9 +28,10 @@
 //!   fan out and the first non-404 answer wins.
 //! * `GET /metrics` and `GET /v1/stats` scrape every shard's
 //!   `/metrics` and *fold* the scrapes once ([`Scrape::fold`]:
-//!   counters, gauges and histogram buckets sum exactly); both
-//!   endpoints render that one fold, so the router presents cluster
-//!   totals in the same formats a single node serves.
+//!   counters, gauges and histogram buckets sum exactly), with the
+//!   router's own series absorbed into the fold; both endpoints render
+//!   that one registry, so the router presents cluster totals in the
+//!   same formats a single node serves.
 //! * The body the client sent is forwarded byte-for-byte (the router
 //!   parses it only to learn the digest), so responses stay
 //!   byte-identical to a single-node deployment.
@@ -50,7 +51,7 @@ use mobipriv_eval::Json;
 use mobipriv_model::digest::{dataset_digest, digest_hex, fnv1a64, mix64};
 use mobipriv_model::DatasetStream;
 use mobipriv_obs::logging::{self, FieldValue};
-use mobipriv_obs::metrics::{render_merged, Counter, Registry};
+use mobipriv_obs::metrics::{Counter, Registry};
 use mobipriv_obs::scrape::{self, Scrape};
 
 use crate::client::{Connection, Headers};
@@ -536,13 +537,12 @@ fn dispatch(head: &RequestHead, body: &[u8], state: &RouterState) -> Response {
     match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => health(state),
         ("GET", "/metrics") => {
-            let (folded, _) = fold_shards(state);
-            let text = render_merged(&[&state.registry, &folded]);
+            let text = fold_shards(state).0.render_prometheus();
             Response::ok("text/plain; version=0.0.4", text.into_bytes())
         }
         ("GET", "/v1/stats") => match fold_shards(state) {
             (_, 0) => Response::from_error(&ServiceError::Unavailable("no shard reachable".into())),
-            (folded, _) => Response::json(200, &stats_json(&[&state.registry, &folded])),
+            (folded, _) => Response::json(200, &stats_json(&folded)),
         },
         ("GET", "/v1/route") => route_debug(head, state),
         ("GET", "/v1/datasets" | "/v1/jobs") => merge_lists(state, &target),
@@ -720,18 +720,20 @@ fn gather(state: &RouterState, target: &str) -> Vec<String> {
         .collect()
 }
 
-/// Scrapes every reachable shard's `/metrics` and folds the scrapes
-/// exactly (counters and gauges sum, histogram buckets add) — the one
-/// cluster view behind both `GET /metrics` (merged with the router's
-/// own `mobipriv_route_*` registry) and `GET /v1/stats`. Returns the
-/// fold and how many shards contributed to it.
+/// Scrapes every reachable shard's `/metrics`, folds the scrapes
+/// exactly (counters and gauges sum, histogram buckets add) and
+/// absorbs the router's own `mobipriv_route_*` registry — the one
+/// cluster view behind both `GET /metrics` and `GET /v1/stats`.
+/// Returns the fold and how many shards contributed to it.
 fn fold_shards(state: &RouterState) -> (Registry, usize) {
     let scrapes: Vec<Scrape> = gather(state, "/metrics")
         .iter()
         .filter_map(|text| scrape::parse(text).ok())
         .collect();
     let refs: Vec<&Scrape> = scrapes.iter().collect();
-    (Scrape::fold(&refs), scrapes.len())
+    let folded = Scrape::fold(&refs);
+    folded.absorb(&state.registry);
+    (folded, scrapes.len())
 }
 
 /// `GET /v1/datasets` / `GET /v1/jobs` — fans out and concatenates the

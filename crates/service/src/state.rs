@@ -4,6 +4,7 @@
 //! that makes them survive a restart.
 
 use mobipriv_core::{CancelToken, Engine};
+use mobipriv_obs::metrics::Registry;
 use mobipriv_obs::trace::{SpanRecorder, TraceStore};
 
 use crate::breaker::{Breaker, ResilienceConfig};
@@ -233,10 +234,20 @@ impl AppState {
             || self.metrics.queue_depth.get() >= self.resilience.degrade_queue_depth
     }
 
+    /// The one registry `GET /metrics` and `GET /v1/stats` render: the
+    /// gauges refreshed, then the server's registry and the
+    /// process-global engine/eval registry absorbed into a fresh one.
+    pub(crate) fn metrics_view(&self) -> Registry {
+        self.refresh_gauges();
+        let view = Registry::new();
+        view.absorb(&self.metrics.registry);
+        view.absorb(mobipriv_obs::global());
+        view
+    }
+
     /// Refreshes the point-in-time gauges (dataset/result/job/trace
     /// populations, store sizes, breaker state) from their owning
-    /// components — called before every registry render so `/metrics`
-    /// and `/v1/stats` read one source of truth.
+    /// components, so a render reads one source of truth.
     pub fn refresh_gauges(&self) {
         self.metrics.breaker_state.set(self.breaker.state_code());
         let (dataset_count, dataset_bytes) = self.datasets.stats();

@@ -7,7 +7,8 @@
 //! spawn several servers per process and assert exact per-server
 //! counts, which a process-global registry would conflate. Engine and
 //! eval profiling live in [`mobipriv_obs::global`] instead (the `Copy`
-//! engine cannot carry a handle); `GET /metrics` renders both merged.
+//! engine cannot carry a handle); `GET /metrics` and `GET /v1/stats`
+//! render one view that absorbs both (`AppState::metrics_view`).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -18,8 +19,10 @@ use mobipriv_obs::metrics::{Counter, Gauge, Histogram, Registry, Sample, Value};
 use mobipriv_obs::trace::SpanRecorder;
 
 /// The request stages recorded as spans and as
-/// `mobipriv_stage_seconds{stage=…}` histogram series.
-pub const STAGES: [&str; 7] = [
+/// `mobipriv_stage_seconds{stage=…}` histogram series: `head` is the
+/// request head, `parse` the body.
+pub const STAGES: [&str; 8] = [
+    "head",
     "parse",
     "digest",
     "cache_lookup",
@@ -247,20 +250,18 @@ impl ServiceMetrics {
     }
 }
 
-/// Renders `GET /v1/stats` from `registries`, in the order `/metrics`
-/// merges them: every series under `"metrics"`, keyed
-/// `name{label=value,…}`, and in front of it the flat fields clients
-/// have always read (cache, dataset-registry and job numbers, plus the
+/// Renders `GET /v1/stats` from the registry `GET /metrics` renders:
+/// every series under `"metrics"`, keyed `name{label=value,…}`, in
+/// `/metrics` order, and in front of it the flat fields clients have
+/// always read (cache, dataset-registry and job numbers, plus the
 /// store's when one is attached) — each one of those series, looked up
-/// by key. A node passes its own and the process-global registry; the
-/// router passes its own and the fold of its shards' `/metrics`, so the
-/// cluster sums are the fold's.
-pub(crate) fn stats_json(registries: &[&Registry]) -> Json {
-    let metrics: Vec<(String, Json)> = registries
-        .iter()
-        .flat_map(|registry| registry.snapshot())
-        .map(metric_member)
-        .collect();
+/// by key. A node passes its [`AppState::metrics_view`]; the router
+/// passes the fold of its shards' `/metrics` with its own series, so
+/// the cluster sums are the fold's.
+///
+/// [`AppState::metrics_view`]: crate::AppState::metrics_view
+pub(crate) fn stats_json(registry: &Registry) -> Json {
+    let metrics: Vec<(String, Json)> = registry.snapshot().into_iter().map(metric_member).collect();
     let series = |key: &str| metrics.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let field = |key: &str| series(key).cloned().unwrap_or(Json::UInt(0));
     let object = |fields: &[(&str, &str)]| {
@@ -346,4 +347,91 @@ fn metric_member(sample: Sample) -> (String, Json) {
         ]),
     };
     (key, value)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
+
+    use mobipriv_core::{Engine, Promesse};
+    use mobipriv_obs::scrape;
+
+    use super::*;
+    use crate::breaker::ResilienceConfig;
+    use crate::state::AppState;
+
+    /// `name{label=value,…}` → value for every series of an exposition
+    /// document, a histogram by its count.
+    fn exposition_series(text: &str) -> BTreeMap<String, f64> {
+        let parsed = scrape::parse(text).expect("own rendering parses");
+        let mut out = BTreeMap::new();
+        for sample in parsed.samples() {
+            let family = match parsed.kind_of(&sample.name) {
+                Some("counter" | "gauge") => sample.name.as_str(),
+                _ => match sample.name.strip_suffix("_count") {
+                    Some(family) if parsed.kind_of(family) == Some("histogram") => family,
+                    _ => continue,
+                },
+            };
+            let labels: Vec<String> = sample
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            let key = if labels.is_empty() {
+                family.to_owned()
+            } else {
+                format!("{family}{{{}}}", labels.join(","))
+            };
+            out.insert(key, sample.value);
+        }
+        out
+    }
+
+    /// `/metrics` and `/v1/stats` are two renderings of one registry:
+    /// the same series with the same values.
+    #[test]
+    fn metrics_and_stats_render_one_view() {
+        let (state, _jobs) = AppState::new(
+            Engine::sequential(),
+            1 << 30,
+            1 << 30,
+            4,
+            None,
+            ResilienceConfig::default(),
+            None,
+        )
+        .unwrap();
+        let dataset = mobipriv_synth::scenarios::serving_day(4, 1).dataset;
+        let promesse = Promesse::new(100.0).unwrap();
+        Engine::sequential().protect(&promesse, &dataset, 1);
+        state.datasets.register(dataset).unwrap();
+        state.metrics.record_request(200, Duration::from_millis(3));
+        state.metrics.record_request(404, Duration::from_micros(40));
+        let rec = SpanRecorder::new("0".into());
+        rec.record("parse", Instant::now());
+        state.metrics.record_spans(&rec);
+
+        let view = state.metrics_view();
+        let exposition = exposition_series(&view.render_prometheus());
+        let Some(Json::Obj(members)) = stats_json(&view).get("metrics").cloned() else {
+            panic!("no metrics object");
+        };
+        let stats: BTreeMap<String, f64> = members
+            .into_iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    Json::Obj(_) => value.get("count").and_then(Json::as_f64),
+                    value => value.as_f64(),
+                };
+                (key, value.expect("numeric member"))
+            })
+            .collect();
+        assert_eq!(exposition, stats);
+        assert_eq!(stats["mobipriv_datasets"], 1.0);
+        assert_eq!(stats["mobipriv_http_requests_total{status=404}"], 1.0);
+        assert_eq!(stats["mobipriv_stage_seconds{stage=parse}"], 1.0);
+        assert!(stats["mobipriv_engine_fixes_total"] > 0.0, "{stats:?}");
+    }
 }

@@ -675,18 +675,18 @@ fn keep_alive_idle_time_is_not_charged_to_the_next_request() {
 
     let (_, doc) = get_on(&format!("/v1/traces/{trace}"));
     let doc = Json::parse(std::str::from_utf8(&doc).unwrap()).expect("trace JSON");
-    let parse_us = doc
+    let head_us = doc
         .get("spans")
         .and_then(Json::as_arr)
         .expect("spans array")
         .iter()
-        .find(|span| span.get("stage").and_then(Json::as_str) == Some("parse"))
+        .find(|span| span.get("stage").and_then(Json::as_str) == Some("head"))
         .and_then(|span| span.get("dur_us"))
         .and_then(Json::as_u64)
-        .expect("parse span");
+        .expect("head span");
     assert!(
-        (parse_us as u128) < PAUSE.as_micros() / 2,
-        "parse span {parse_us} us after a {PAUSE:?} idle pause"
+        (head_us as u128) < PAUSE.as_micros() / 2,
+        "head span {head_us} us after a {PAUSE:?} idle pause"
     );
     server.shutdown();
 }

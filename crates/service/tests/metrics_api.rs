@@ -99,7 +99,8 @@ fn timeline(addr: std::net::SocketAddr, trace: &str) -> Vec<(String, u64, u64)> 
 
 /// A cold request's stages follow one another: `cache_lookup` ends
 /// where the computation starts, so no span encloses another and
-/// `mobipriv_stage_seconds` never counts one interval twice.
+/// `mobipriv_stage_seconds` never counts one interval twice. An
+/// upload's head and body are the stages `head` and `parse`.
 #[test]
 fn cold_stages_are_disjoint() {
     let csv = csv_of(&scenarios::serving_day(6, 5).dataset);
@@ -124,11 +125,16 @@ fn cold_stages_are_disjoint() {
     assert_eq!(str_of(&done, "cache"), "miss");
     let job = str_of(&done, "trace").to_owned();
 
-    for trace in [one_shot, job] {
+    for (trace, upload) in [(one_shot, true), (job, false)] {
         let spans = timeline(addr, &trace);
+        let count = |stage: &str| spans.iter().filter(|(s, _, _)| s == stage).count();
         for stage in ["cache_lookup", "compute", "report", "serialize"] {
-            let count = spans.iter().filter(|(s, _, _)| s == stage).count();
-            assert_eq!(count, 1, "one {stage} span in {spans:?}");
+            assert_eq!(count(stage), 1, "one {stage} span in {spans:?}");
+        }
+        if upload {
+            // The request head and the body are two stages.
+            assert_eq!(count("head"), 1, "one head span in {spans:?}");
+            assert_eq!(count("parse"), 1, "one parse span in {spans:?}");
         }
         for (i, (a, a_start, a_dur)) in spans.iter().enumerate() {
             for (b, b_start, b_dur) in &spans[i + 1..] {

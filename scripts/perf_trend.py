@@ -1,74 +1,47 @@
 #!/usr/bin/env python3
-"""Perf-trend gate: compare a regenerated BENCH_perf.json against the
-committed baseline and fail when any path's *speedup ratio* regresses
-below a floor fraction (`FLOOR`, 0.6) of the committed value.
-
-Ratios (naive/indexed, cold/warm) divide out machine speed, so the gate
-catches accidental de-indexing or cache-bypassing without flaking on
-slow or noisy CI runners the way absolute-time gates do.
-
-The jobs_cache section is gated differently: its cold side is
-CPU-bound (parse + compute) while its warm side is bounded by loopback
-round trips, so the cold/warm ratio scales with machine shape and a
-committed-ratio gate would flake on faster runners. It gets an
-*absolute* floor instead (`JOBS_FLOOR`, 10x, the job cache's
-acceptance threshold): any machine that skips the upload + parse +
-compute on a warm hit clears it by an order of magnitude.
-
-The parse section is likewise gated on a machine-independent ratio:
-binary read throughput must stay at least `BIN_FLOOR` (3x) times CSV
-read throughput — the wire format's reason to exist — rather than on
-absolute Mfix/s, which scales with the runner.
-
-The reident paths entry also has a hard floor (`REIDENT_FLOOR`, 1.01):
-the pruned column-oriented profile scan must keep beating the
-brute-force reference, not slide back to the historical ~1.01x
-plateau.
-
-The obs_overhead section is an absolute ceiling (`OBS_CEILING`, 1.05):
-the engine run with observability hooks enabled must stay within 5% of
-the run with them disabled — the zero-cost-when-idle contract of the
-metrics/tracing layer, measured as a min-of-N ratio so it divides out
-machine speed.
-
-The resilience section shares the obs ceiling: the engine run through
-`try_protect` with a live deadline token (a clock read between
-per-trace kernels) must stay within 5% of the plain `protect` path —
-cancellation support must be free when the deadline is generous.
-
-The persistence section is an absolute ceiling on `restart_ratio`
-(`RESTART_CEILING`, 2.0): a warm-restart cache hit — served from state
-recovered off the journal at boot — must stay within 2x of the
-in-memory warm hit on the same machine. Both sides are loopback round
-trips against the same server build, so the ratio divides out machine
-speed; a blowout means the recovered path re-reads disk or recomputes
-on the request path.
-
-The keepalive section is an absolute floor (`KEEPALIVE_FLOOR`, 1.5) on
-the fresh-connection/reused-connection warm RTT ratio: reusing a
-keep-alive connection must stay meaningfully faster than dialing per
-request. It is only gated when the bench machine has >= 2 cores — on
-one core the round trip is context-switch-bound on both sides, which
-genuinely compresses the ratio toward 1 regardless of the transport's
-health (the recorded `cores` field makes the run self-describing).
-
-The sharding section is an absolute floor (`SHARDING_FLOOR`, 1.5) on
-the N=4-shards/N=1-node aggregate-throughput ratio, under the same
->= 2 cores guard: four one-worker shards behind the router cannot
-physically outrun one one-worker node when every worker shares a
-single core, so a one-core gate would only measure the proxy overhead.
-
-Every threshold is one of the constants below. The script takes no
-options: any `--…` argument is a usage error, so a stale flag cannot
-pass unnoticed.
+"""Perf-trend gate: check a regenerated BENCH_perf.json against the
+committed baseline. This script is the only reader of BENCH_perf.json.
 
 usage: perf_trend.py BASELINE NEW
 
-Exit status: 0 = no regression, 1 = regression (or a baseline path
-missing from the regenerated file), 2 = usage/parse error.
+Both files must first have the shape `mobipriv-bench-perf` writes: every
+section with every key in `SECTION_KEYS`, parse rows for exactly csv,
+ndjson and bin, one dial in `keepalive` and four shards in `sharding`.
+Then each gated value prints one line:
+
+* Every committed `paths` entry: the regenerated naive/indexed speedup
+  must stay at least `FLOOR` of the committed one. Ratios divide out
+  machine speed, so the gate catches accidental de-indexing without
+  flaking on slow or noisy runners the way absolute times would.
+* The `ABSOLUTE` table, each a machine-independent ratio of the new file:
+  - reident: the pruned profile scan keeps beating the brute-force
+    reference, above the historical ~1.01x plateau.
+  - parse bin/csv: binary read throughput over CSV's, the binary wire
+    format's reason to exist.
+  - jobs_cache cold/warm: the cold side is CPU-bound and the warm side a
+    loopback round trip, so the ratio scales with machine shape; any
+    machine that skips upload, parse and compute on a hit clears 10x.
+  - obs_overhead: the engine's instrumented run against the bare stage
+    loop (`Mechanism::protect`), min-of-N.
+  - resilience: `try_protect` with a live deadline token against plain
+    `protect` — cancellation must be free when the deadline is generous.
+  - persistence: a hit served from state recovered off the journal at
+    boot against the in-memory hit on the same machine.
+  - keepalive (fresh/reused connection RTT) and sharding (4 one-worker
+    shards behind the router against one node): skipped when the
+    section's `cores` is below 2, where the round trip is
+    context-switch-bound and four shards cannot outrun one.
+
+The thresholds are the constants below. Any `--...` argument is a usage
+error, so a stale flag cannot pass unnoticed.
+
+Exit status: 0 = every gate holds, 1 = a shape violation, a regression
+or a committed path missing from the new file, 2 = usage error or an
+unreadable file.
 """
 
 import json
+import operator
 import sys
 
 FLOOR = 0.6
@@ -79,6 +52,82 @@ OBS_CEILING = 1.05
 RESTART_CEILING = 2.0
 KEEPALIVE_FLOOR = 1.5
 SHARDING_FLOOR = 1.5
+
+# The keys of every row of the list sections and of each section object.
+SECTION_KEYS = {
+    "paths": {"name", "naive_s", "indexed_s", "speedup"},
+    "parse": {"name", "read_mfix_s", "write_mfix_s", "bytes_per_fix"},
+    "jobs_cache": {"cold_s", "warm_s", "speedup", "hit_rate"},
+    "obs_overhead": {"obs_on_s", "obs_off_s", "ratio"},
+    "resilience": {"hooks_on_s", "hooks_off_s", "ratio"},
+    "persistence": {"cold_s", "warm_mem_s", "warm_restart_s", "restart_ratio",
+                    "replay_s_per_1k", "records_replayed"},
+    "keepalive": {"cores", "fresh_rtt_s", "reused_rtt_s", "speedup", "connects"},
+    "sharding": {"cores", "shards", "keys", "single_rps", "sharded_rps", "speedup"},
+}
+
+
+def speedups(doc):
+    return {p["name"]: p["speedup"] for p in doc["paths"]}
+
+
+def read_rate(doc, name):
+    return next(p["read_mfix_s"] for p in doc["parse"] if p["name"] == name)
+
+
+# (gate, value in the new file, comparison, bound, what it compares).
+ABSOLUTE = [
+    ("reident", lambda d: speedups(d).get("reident"), ">", REIDENT_FLOOR,
+     "pruned scan vs brute force"),
+    ("parse bin/csv", lambda d: read_rate(d, "bin") / read_rate(d, "csv"), ">=",
+     BIN_FLOOR, "read throughput"),
+    ("jobs_cache", lambda d: d["jobs_cache"]["speedup"], ">=", JOBS_FLOOR,
+     "cold vs warm"),
+    ("obs_overhead", lambda d: d["obs_overhead"]["ratio"], "<=", OBS_CEILING,
+     "engine run vs bare stage loop"),
+    ("resilience", lambda d: d["resilience"]["ratio"], "<=", OBS_CEILING,
+     "live deadline token vs none"),
+    ("persistence", lambda d: d["persistence"]["restart_ratio"], "<=",
+     RESTART_CEILING, "warm-restart hit vs in-memory hit"),
+    ("keepalive", lambda d: d["keepalive"]["speedup"], ">=", KEEPALIVE_FLOOR,
+     "fresh vs reused connection RTT"),
+    ("sharding", lambda d: d["sharding"]["speedup"], ">=", SHARDING_FLOOR,
+     "4 shards vs 1 node throughput"),
+]
+NEEDS_CORES = {"keepalive", "sharding"}
+COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def shape_violations(doc):
+    """The shape rules `doc` breaks, by name."""
+    rules = [
+        ("bench is perf", lambda: doc["bench"] == "perf"),
+        ("paths is not empty", lambda: len(doc["paths"]) > 0),
+        ("parse rows are csv, ndjson and bin",
+         lambda: sorted(p["name"] for p in doc["parse"]) == ["bin", "csv", "ndjson"]),
+    ]
+    for section, keys in SECTION_KEYS.items():
+        rows = lambda s=section: doc[s] if s in ("paths", "parse") else [doc[s]]
+        rules.append((f"{section} has {', '.join(sorted(keys))}",
+                      lambda rows=rows, keys=keys: all(keys <= r.keys() for r in rows())))
+    rules.append(("keepalive.connects is 1", lambda: doc["keepalive"]["connects"] == 1))
+    rules.append(("sharding.shards is 4", lambda: doc["sharding"]["shards"] == 4))
+    broken = []
+    for rule, holds in rules:
+        try:
+            ok = holds()
+        except (KeyError, TypeError, AttributeError):
+            ok = False
+        if not ok:
+            broken.append(rule)
+    return broken
+
+
+def gate(name, value, compare, bound, what):
+    """Prints one gated value and returns whether it holds."""
+    holds = COMPARE[compare](value, bound)
+    print(f"{name:<16} {value:>9.3f}  {'ok' if holds else 'FAIL':<4}  {compare} {bound:g} {what}")
+    return holds
 
 
 def load(path):
@@ -95,154 +144,36 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     baseline, fresh = load(argv[0]), load(argv[1])
+    broken = [f"{path}: {rule}" for path, doc in zip(argv, (baseline, fresh))
+              for rule in shape_violations(doc)]
+    for violation in broken:
+        print(f"perf_trend: shape violation in {violation}", file=sys.stderr)
+    if broken:
+        return 1
 
-    def speedups(doc):
-        return {p["name"]: p["speedup"] for p in doc.get("paths", [])}
-
-    base, new = speedups(baseline), speedups(fresh)
-    if not base:
-        print("perf_trend: baseline has no paths", file=sys.stderr)
-        return 2
-
-    failed = False
-    print(f"{'path':>16} {'committed':>10} {'regenerated':>11} {'ratio':>7}  gate (>= {FLOOR:.2f})")
-    for name, committed in sorted(base.items()):
-        got = new.get(name)
+    ok = True
+    new = speedups(fresh)
+    for name, committed in sorted(speedups(baseline).items()):
+        if name not in new:
+            print(f"{name:<16} {'MISSING':>9}  FAIL  committed path absent from the new file")
+            ok = False
+            continue
+        ok &= gate(name, new[name] / committed, ">=", FLOOR,
+                   f"of committed {committed:.2f}x (now {new[name]:.2f}x)")
+    for name, value, compare, bound, what in ABSOLUTE:
+        got = value(fresh)
         if got is None:
-            print(f"{name:>16} {committed:>10.2f} {'MISSING':>11}      -  FAIL")
-            failed = True
             continue
-        ratio = got / committed
-        verdict = "ok" if ratio >= FLOOR else "FAIL"
-        failed = failed or ratio < FLOOR
-        print(f"{name:>16} {committed:>10.2f}x {got:>10.2f}x {ratio:>6.2f}  {verdict}")
-    for name in sorted(set(new) - set(base)):
-        print(f"{name:>16} {'(new)':>10} {new[name]:>10.2f}x      -  ok (no baseline)")
-
-    # reident: hard floor on top of the committed-ratio gate (see module
-    # docstring).
-    got = new.get("reident")
-    if got is not None:
-        verdict = "ok" if got > REIDENT_FLOOR else "FAIL"
-        failed = failed or got <= REIDENT_FLOOR
-        print(
-            f"{'reident':>16} {'(abs)':>10} {got:>10.2f}x      -  "
-            f"{verdict} (paths > {REIDENT_FLOOR:.2f}x plateau)"
-        )
-
-    # parse: gate the bin-vs-csv read-throughput ratio, not absolute
-    # Mfix/s (see module docstring).
-    parse = {p["name"]: p for p in fresh.get("parse", [])}
-    base_parse = {p["name"]: p for p in baseline.get("parse", [])}
-    for name in sorted(set(base_parse) - set(parse)):
-        print(f"{name:>16} {'-':>10} {'MISSING':>11}      -  FAIL (parse)")
-        failed = True
-    if "bin" in parse and "csv" in parse:
-        got = parse["bin"]["read_mfix_s"] / parse["csv"]["read_mfix_s"]
-        verdict = "ok" if got >= BIN_FLOOR else "FAIL"
-        failed = failed or got < BIN_FLOOR
-        print(
-            f"{'parse bin/csv':>16} {'(abs)':>10} {got:>10.2f}x      -  "
-            f"{verdict} (>= {BIN_FLOOR:.0f}x read throughput)"
-        )
-    elif base_parse:
-        print(f"{'parse bin/csv':>16} {'-':>10} {'MISSING':>11}      -  FAIL (parse)")
-        failed = True
-
-    # jobs_cache: absolute floor (machine-shape-independent, see above).
-    jobs = fresh.get("jobs_cache")
-    if jobs is None:
-        print(f"{'jobs_cache':>16} {'-':>10} {'MISSING':>11}      -  FAIL")
-        failed = True
-    else:
-        got = jobs["speedup"]
-        verdict = "ok" if got >= JOBS_FLOOR else "FAIL"
-        failed = failed or got < JOBS_FLOOR
-        print(f"{'jobs_cache':>16} {'(abs)':>10} {got:>10.2f}x      -  {verdict} (>= {JOBS_FLOOR:.0f}x cold/warm)")
-
-    # obs_overhead: absolute ceiling on the enabled/disabled engine-run
-    # ratio (the zero-cost-when-idle contract, see module docstring).
-    obs = fresh.get("obs_overhead")
-    if obs is None:
-        print(f"{'obs_overhead':>16} {'-':>10} {'MISSING':>11}      -  FAIL")
-        failed = True
-    else:
-        got = obs["ratio"]
-        verdict = "ok" if got <= OBS_CEILING else "FAIL"
-        failed = failed or got > OBS_CEILING
-        print(
-            f"{'obs_overhead':>16} {'(abs)':>10} {got:>10.3f}x      -  "
-            f"{verdict} (<= {OBS_CEILING:.2f}x with hooks enabled)"
-        )
-
-    # persistence: absolute ceiling on the warm-restart/in-memory hit
-    # ratio (see module docstring). Only gated when the baseline has the
-    # section, so older baselines don't fail on the new bench.
-    persist = fresh.get("persistence")
-    if persist is None:
-        if baseline.get("persistence") is not None:
-            print(f"{'persistence':>16} {'-':>10} {'MISSING':>11}      -  FAIL")
-            failed = True
-    else:
-        got = persist["restart_ratio"]
-        verdict = "ok" if got <= RESTART_CEILING else "FAIL"
-        failed = failed or got > RESTART_CEILING
-        print(
-            f"{'persistence':>16} {'(abs)':>10} {got:>10.2f}x      -  "
-            f"{verdict} (warm-restart hit <= {RESTART_CEILING:.1f}x in-memory hit)"
-        )
-
-    # resilience: absolute ceiling on the deadline-token/no-token engine
-    # run (cancellation hooks must be free when the budget is generous).
-    # Shares the obs ceiling; only gated when the baseline has the
-    # section, so older baselines don't fail on the new bench.
-    resilience = fresh.get("resilience")
-    if resilience is None:
-        if baseline.get("resilience") is not None:
-            print(f"{'resilience':>16} {'-':>10} {'MISSING':>11}      -  FAIL")
-            failed = True
-    else:
-        got = resilience["ratio"]
-        verdict = "ok" if got <= OBS_CEILING else "FAIL"
-        failed = failed or got > OBS_CEILING
-        print(
-            f"{'resilience':>16} {'(abs)':>10} {got:>10.3f}x      -  "
-            f"{verdict} (<= {OBS_CEILING:.2f}x with a live deadline token)"
-        )
-
-    # keepalive / sharding: absolute floors on the connection-layer and
-    # scale-out ratios, gated only on >= 2 cores (see module
-    # docstring). Only required when the baseline has the section, so
-    # older baselines don't fail on the new bench.
-    for section, floor_value, what in (
-        ("keepalive", KEEPALIVE_FLOOR, "reused vs fresh-conn warm RTT"),
-        ("sharding", SHARDING_FLOOR, "4 shards vs 1 node throughput"),
-    ):
-        doc = fresh.get(section)
-        if doc is None:
-            if baseline.get(section) is not None:
-                print(f"{section:>16} {'-':>10} {'MISSING':>11}      -  FAIL")
-                failed = True
-            continue
-        got = doc["speedup"]
-        cores = doc.get("cores", 1)
+        cores = fresh[name]["cores"] if name in NEEDS_CORES else 2
         if cores < 2:
-            print(
-                f"{section:>16} {'(abs)':>10} {got:>10.2f}x      -  "
-                f"skipped ({cores} core, {what} needs >= 2)"
-            )
+            print(f"{name:<16} {got:>9.3f}  skip  {cores} core; {what} needs >= 2")
             continue
-        verdict = "ok" if got >= floor_value else "FAIL"
-        failed = failed or got < floor_value
-        print(
-            f"{section:>16} {'(abs)':>10} {got:>10.2f}x      -  "
-            f"{verdict} (>= {floor_value:.1f}x {what})"
-        )
+        ok &= gate(name, got, compare, bound, what)
 
-    if failed:
+    if not ok:
         print(
-            "perf_trend: speedup regression — a spatial index or the result cache "
-            "stopped engaging (see DESIGN.md §9/§10). If the change is intentional, "
+            "perf_trend: regression — an index, the result cache or a transport win "
+            "stopped engaging (see DESIGN.md §6). If the change is intentional, "
             "regenerate BENCH_perf.json with: "
             "cargo run --release -p mobipriv-bench --bin mobipriv-bench-perf -- "
             "--users 1000 --out BENCH_perf.json",
